@@ -7,9 +7,7 @@ from .series import (
     TruncatedSeries,
     conjugate,
     differentiate,
-    elementary,
     evaluate,
-    series_arith,
 )
 from .surface import (
     SurfaceChart,
@@ -39,25 +37,36 @@ from .invariants import (
     q11_at_origin,
     weight3_invariance_suite,
 )
-from .quadrature import (
-    CompactMetric,
-    QuadratureScheme,
-    calabi_identity_check,
-    integrate_surface,
-    rigidity_demo,
-)
 from .expr import parse_expression, print_expression
 
 __version__ = "0.1.0"
+
+# The quadrature layer pulls in numpy and sympy; it is imported on first use
+# of one of its names (PEP 562) so that the exact pipeline and the CLI start
+# without them.
+_QUADRATURE_NAMES = frozenset({
+    "CompactMetric",
+    "QuadratureScheme",
+    "calabi_identity_check",
+    "integrate_surface",
+    "rigidity_demo",
+})
+
+
+def __getattr__(name):
+    if name in _QUADRATURE_NAMES:
+        from . import quadrature
+
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GaussianRational",
     "TruncatedSeries",
     "conjugate",
     "differentiate",
-    "elementary",
     "evaluate",
-    "series_arith",
     "SurfaceChart",
     "cartan_r",
     "cartan_s",

@@ -21,13 +21,7 @@ from .invariants import (
     RigidSurface,
     calibrate_c,
     is_spherical,
-)
-from .quadrature import (
-    CompactMetric,
-    QuadratureScheme,
-    calabi_identity_check,
-    integrate_surface,
-    rigidity_demo,
+    weight3_scaling,
 )
 from .series import TruncatedSeries
 from .seriesfile import read_series
@@ -38,7 +32,6 @@ from .surface import (
     divergence_form_residual,
     gauss_curvature,
     phi_from_line_bundle_metric,
-    phi_from_rigid_defining,
     qisgauss_residuals,
 )
 from .transverse import (
@@ -113,6 +106,16 @@ def _parse_lambda(text: str) -> GaussianRational:
     if len(parts) == 2:
         return GaussianRational(_parse_rational(parts[0]), _parse_rational(parts[1]))
     raise argparse.ArgumentTypeError(f"bad lambda {text!r}; expected 're' or 're,im'")
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _parse_probes(text: str):
@@ -190,40 +193,49 @@ def _exit_code(residuals: dict) -> int:
     return 0
 
 
-def _chart_residuals(chart: SurfaceChart) -> dict:
-    pchart = PseudohermitianChart(chart)
-    g1, g2 = qisgauss_residuals(chart)
-    t1, t2 = check_qisgauss_trans(pchart)
-    bracket = verify_bracket_identity()
-    residuals = {
+def _bracket_entry(bracket) -> dict:
+    return {
+        "exact_zero": bracket.is_zero,
+        "value": "0" if bracket.is_zero else repr(bracket.residual),
+    }
+
+
+def _chart_residuals(chart: PseudohermitianChart) -> dict:
+    """The exact curvature identities of one chart (the bracket identity does
+    not depend on the chart and is added by the caller)."""
+    base = chart.base
+    g1, g2 = qisgauss_residuals(base)
+    t1, t2 = check_qisgauss_trans(chart)
+    return {
         "qisgauss_identity_1": _residual_entry(g1),
         "qisgauss_identity_2": _residual_entry(g2),
         "qisgauss_trans_1": _residual_entry(t1),
         "qisgauss_trans_2": _residual_entry(t2),
-        "divergence_form": _residual_entry(divergence_form_residual(chart)),
-        "k_minus_2r": _residual_entry(k_equals_2r_residual(pchart)),
-        "bracket_identity": {
-            "exact_zero": bracket.is_zero,
-            "value": "0" if bracket.is_zero else repr(bracket.residual),
-        },
+        "divergence_form": _residual_entry(divergence_form_residual(base)),
+        "k_minus_2r": _residual_entry(k_equals_2r_residual(chart)),
     }
-    return residuals
 
 
-def _weight3_entries(chart: SurfaceChart) -> dict:
-    pchart = PseudohermitianChart(chart)
-    base = q11_representative(pchart, FiberPoint(GaussianRational(1))).constant_value()
+def _weight3_entries(chart: PseudohermitianChart) -> dict:
     entries = {}
-    for t, lam in ((Fraction(4), Fraction(2)), (Fraction(9, 4), Fraction(3, 2))):
-        value = q11_representative(
-            pchart, FiberPoint(GaussianRational(lam))
-        ).constant_value()
-        residual = value * GaussianRational(t**3) - base
+    for check in weight3_scaling(chart, (4, Fraction(9, 4))):
+        t = check.t
         entries[f"weight3_scaling_t_{t.numerator}_{t.denominator}"] = {
-            "exact_zero": not residual,
-            "value": _grat(residual),
+            "exact_zero": check.exact,
+            "value": _grat(check.residual),
         }
     return entries
+
+
+def _verdict_json(verdict) -> dict:
+    first = verdict.first_nonzero
+    return {
+        "spherical": verdict.spherical,
+        "verified_order": verdict.verified_order,
+        "first_nonzero_r_coefficient": (
+            None if first is None else {"at": list(first[0]), "value": _grat(first[1])}
+        ),
+    }
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -265,8 +277,9 @@ def _cmd_invariants(args) -> int:
     q11_rep = q11_representative(pchart, p)
     verdict = is_spherical(chart, r.order)
 
-    residuals = _chart_residuals(chart)
-    residuals.update(_weight3_entries(chart))
+    residuals = _chart_residuals(pchart)
+    residuals["bracket_identity"] = _bracket_entry(verify_bracket_identity())
+    residuals.update(_weight3_entries(pchart))
 
     report = {
         "input": echo,
@@ -284,16 +297,7 @@ def _cmd_invariants(args) -> int:
         },
         "residuals": residuals,
         "verdicts": {
-            "spherical": verdict.spherical,
-            "verified_order": verdict.verified_order,
-            "first_nonzero_r_coefficient": (
-                None
-                if verdict.first_nonzero is None
-                else {
-                    "at": list(verdict.first_nonzero[0]),
-                    "value": _grat(verdict.first_nonzero[1]),
-                }
-            ),
+            **_verdict_json(verdict),
             "normal_form_coefficients_A0": (
                 None
                 if surface is None
@@ -319,18 +323,7 @@ def _cmd_sphericity(args) -> int:
         "series": {"r": _series_json(r, args.display_order)},
         "values": {},
         "residuals": {},
-        "verdicts": {
-            "spherical": verdict.spherical,
-            "verified_order": verdict.verified_order,
-            "first_nonzero_r_coefficient": (
-                None
-                if verdict.first_nonzero is None
-                else {
-                    "at": list(verdict.first_nonzero[0]),
-                    "value": _grat(verdict.first_nonzero[1]),
-                }
-            ),
-        },
+        "verdicts": _verdict_json(verdict),
         "calibration": None,
         "version": __version__,
     }
@@ -358,21 +351,19 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    residuals = {}
-    bracket = verify_bracket_identity()
     control = verify_bracket_identity(perturb=True)
-    residuals["bracket_identity"] = {
-        "exact_zero": bracket.is_zero,
-        "value": "0" if bracket.is_zero else repr(bracket.residual),
-    }
-    residuals["bracket_negative_control_nonzero"] = {
-        "exact_zero": control.is_zero is False,
-        "value": "nonzero as required" if not control.is_zero else "0 (BROKEN)",
+    residuals = {
+        "bracket_identity": _bracket_entry(verify_bracket_identity()),
+        "bracket_negative_control_nonzero": {
+            "exact_zero": control.is_zero is False,
+            "value": "nonzero as required" if not control.is_zero else "0 (BROKEN)",
+        },
     }
     if args.expr is not None or args.coeff_file is not None:
         chart, _, echo = _build_chart(args)
-        residuals.update(_chart_residuals(chart))
-        residuals.update(_weight3_entries(chart))
+        pchart = PseudohermitianChart(chart)
+        residuals.update(_chart_residuals(pchart))
+        residuals.update(_weight3_entries(pchart))
     else:
         echo = {"kind": None, "source": None, "order": args.order}
     report = {
@@ -388,19 +379,30 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_quadrature(args) -> int:
+    import numpy as np
+
+    from .quadrature import (
+        CompactMetric,
+        QuadratureScheme,
+        calabi_identity_check,
+        integrate_surface,
+        rigidity_demo,
+    )
+
     if args.input_kind not in (None, "compact_profile_psi"):
         raise CartanQError("quadrature-check takes a compact_profile_psi input")
     psi = parse_radial_polynomial(args.expr) if args.expr else []
     metric = CompactMetric(psi)
-    scheme = QuadratureScheme(
-        radial_panels=args.radial_panels,
-        angular_nodes=args.angular_nodes,
-        rel_tolerance=args.tolerance,
-    )
+    try:
+        scheme = QuadratureScheme(
+            radial_panels=args.radial_panels,
+            angular_nodes=args.angular_nodes,
+            rel_tolerance=args.tolerance,
+        )
+    except ValueError as exc:
+        raise CartanQError(str(exc)) from exc
     if not metric.e2phi_positive_on_grid(scheme):
         raise CartanQError("e^{2phi} is not positive on the quadrature grid")
-
-    import numpy as np
 
     area, area_err = integrate_surface(
         lambda z: np.ones(z.shape), metric, scheme
@@ -462,7 +464,7 @@ def _add_input_flags(sub, require_input=True):
 def _add_output_flags(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--out", default=None, help="write the report to a file")
-    sub.add_argument("--display-order", type=int, default=6,
+    sub.add_argument("--display-order", type=_non_negative_int, default=6,
                      help="echo series coefficients up to this total degree")
 
 

@@ -209,24 +209,18 @@ def print_expression(s: TruncatedSeries) -> str:
     """Canonical printer; parse(print(s), s.order) reproduces s exactly."""
     if s.is_zero:
         return "0"
+    # the grammar has no literal for i
+    if any(c.im for c in s.coeffs.values()):
+        raise ValueError("canonical printer only supports real-coefficient series")
     parts = []
     for (k, l), c in s.graded_items():
-        for q, unit in ((c.re, ""), (c.im, "*i")):
-            if not q:
-                continue
-            mon = []
-            if k:
-                mon.append(f"z^{k}")
-            if l:
-                mon.append(f"zb^{l}")
-            num = f"{abs(q.numerator)}/{q.denominator}"
-            if unit:
-                # i is not a literal in the grammar; print i as (z-free) (0+1i)
-                # via the identity i = (exp-free) representation below
-                raise ValueError(
-                    "canonical printer only supports real-coefficient series"
-                )
-            term = "*".join([num] + mon)
-            parts.append(("-" if q < 0 else "+") + term)
+        mon = []
+        if k:
+            mon.append(f"z^{k}")
+        if l:
+            mon.append(f"zb^{l}")
+        q = c.re
+        term = "*".join([f"{abs(q.numerator)}/{q.denominator}"] + mon)
+        parts.append(("-" if q < 0 else "+") + term)
     text = "".join(parts)
     return text[1:] if text.startswith("+") else text

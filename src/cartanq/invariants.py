@@ -21,8 +21,8 @@ from .errors import (
     NormalFormViolationError,
 )
 from .gaussrat import GaussianRational
-from .series import TruncatedSeries
-from .surface import SurfaceChart, cartan_r, cartan_s, phi_from_rigid_defining
+from .series import TruncatedSeries, _rational_sqrt
+from .surface import SurfaceChart, cartan_r, phi_from_rigid_defining
 from .transverse import FiberPoint, PseudohermitianChart, q11_representative
 
 
@@ -170,6 +170,10 @@ def calibrate_c(
         raise InsufficientProbesError("probe values must be nonzero")
     if len(probes) < 3:
         raise InsufficientProbesError("need at least 3 distinct nonzero probes")
+    if order < 8:
+        raise InsufficientOrderError(
+            f"Q;11(0) needs a defining function of order >= 8, got {order}"
+        )
     build = FAMILIES[family]
     points = []
     for eps in probes:
@@ -209,15 +213,12 @@ class ScalingCheck:
         return not self.residual
 
 
-def weight3_invariance_suite(surface: RigidSurface, ts=(1, 4, Fraction(9, 4))):
-    """Check value(|lambda|^2 = t) * t^3 = value(lambda = 1) exactly.
+def weight3_scaling(chart: PseudohermitianChart, ts):
+    """Check Q;11(|lambda|^2 = t) * t^3 = Q;11(lambda = 1) exactly at the center.
 
     The rescalings t must be squares of rationals so that a real lambda with
     |lambda|^2 = t exists in the coefficient field.
     """
-    from .series import _rational_sqrt
-
-    chart = PseudohermitianChart(surface.chart)
     base_value = q11_representative(chart, FiberPoint(GaussianRational(1))).constant_value()
     checks = []
     for t in ts:
@@ -240,5 +241,6 @@ def weight3_invariance_suite(surface: RigidSurface, ts=(1, 4, Fraction(9, 4))):
     return checks
 
 
-def cartan_s_available(chart: SurfaceChart) -> int:
-    return cartan_s(chart).order
+def weight3_invariance_suite(surface: RigidSurface, ts=(1, 4, Fraction(9, 4))):
+    """:func:`weight3_scaling` on the chart of a rigid surface."""
+    return weight3_scaling(PseudohermitianChart(surface.chart), ts)

@@ -18,7 +18,6 @@ grid evaluation is vectorized numpy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -27,7 +26,6 @@ import numpy as np
 import sympy as sp
 
 from .errors import QuadratureEvaluationError
-from .gaussrat import GaussianRational
 from .series import TruncatedSeries, exp_series, reciprocal
 from .surface import SurfaceChart
 

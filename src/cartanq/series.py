@@ -3,10 +3,9 @@
 A ``TruncatedSeries`` stores the coefficients of a series truncated at a
 total-degree bound ``order``.  The ``order`` field records how far the
 coefficients are *exact*: differentiation decrements it, because a derivative
-of a truncation-exact input is exact only one order lower.  Operations
-combining several series require equal orders (see :func:`series_arith`); the
-infix operators align to the minimum order automatically for convenience,
-which is the behaviour the geometry pipelines rely on.
+of a truncation-exact input is exact only one order lower.  The infix
+operators combining several series align to the minimum order, which is the
+behaviour the geometry pipelines rely on.
 
 All values are immutable after construction and all operations are pure
 functions, so series can be shared freely across threads.
@@ -232,21 +231,6 @@ class TruncatedSeries:
 # -- module-level operation surface ------------------------------------------------
 
 
-def series_arith(lhs: TruncatedSeries, rhs: TruncatedSeries, op: str) -> TruncatedSeries:
-    """Strict-order arithmetic: lhs and rhs must share the truncation order."""
-    if lhs.order != rhs.order:
-        raise OrderMismatchError(
-            f"order mismatch: {lhs.order} vs {rhs.order}"
-        )
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
 def differentiate(s: TruncatedSeries, var: str) -> TruncatedSeries:
     """Formal partial derivative; the result order drops to N - 1."""
     if s.order < 1:
@@ -341,23 +325,6 @@ def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
     for j in range(1, s.order + 1):
         coeffs.append(coeffs[-1] * (Fraction(1, 2) - (j - 1)) / j)
     return _compose_maclaurin(v, coeffs) * root
-
-
-_ELEMENTARY = {
-    "exp": exp_series,
-    "log1p": log1p_series,
-    "reciprocal": reciprocal,
-    "sqrt_of_positive_constant_term": sqrt_series,
-    "sqrt": sqrt_series,
-}
-
-
-def elementary(s: TruncatedSeries, fn: str) -> TruncatedSeries:
-    try:
-        impl = _ELEMENTARY[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None
-    return impl(s)
 
 
 def evaluate(s: TruncatedSeries, point) -> complex:

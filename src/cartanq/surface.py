@@ -23,6 +23,7 @@ from .errors import (
     MalformedDefiningFunctionError,
     NotStrictlyPseudoconvexError,
     RepresentationError,
+    SeriesDomainError,
 )
 from .gaussrat import GaussianRational
 from .series import (
@@ -193,7 +194,7 @@ def covariant_derivative(
         return S * power
     try:
         factor = (chart.ephi_inv() ** (-m)).truncated(S.order)
-    except Exception as exc:
+    except SeriesDomainError as exc:
         raise RepresentationError(
             "odd-letter covariant word on a chart whose e^{phi} is irrational "
             "at the center; use even words or numeric mode"
@@ -225,42 +226,36 @@ def cartan_r(chart: SurfaceChart) -> TruncatedSeries:
 def cartan_s(chart: SurfaceChart) -> TruncatedSeries:
     """Fiber-stripped weight-3 representative s = D^2 r - 3 (Dr) b + r (2 b^2 - Db).
 
-    Also computed through the divergence form
-    s = e^{4phi} D(e^{-2phi} D(e^{-2phi} r)); the two must agree exactly and
-    the agreement is asserted on every call path.
+    The divergence form s = e^{4phi} D(e^{-2phi} D(e^{-2phi} r)) is an
+    independent check of this formula; see :func:`divergence_form_residual`.
     """
 
     def make():
         r = cartan_r(chart)
         b = chart.b
         dr = r.diff("z")
-        s_direct = (
-            dr.diff("z")
-            - dr * b * 3
-            + r * (b * b * 2 - b.diff("z"))
-        )
-        w = chart.e2phi
-        w_inv = chart.e2phi_inv
-        inner = (w_inv * r).diff("z")
-        s_div = (w * w) * ((w_inv * inner).diff("z"))
-        assert s_direct == s_div.truncated(s_direct.order), (
-            "divergence form of s disagrees with the direct formula"
-        )
-        return s_direct
+        return dr.diff("z") - dr * b * 3 + r * (b * b * 2 - b.diff("z"))
 
     return chart._cached("s", make)
+
+
+def curvature_identity_residuals(
+    curvature: TruncatedSeries, factor: int, chart: SurfaceChart
+):
+    """Exact residuals factor * r + e^{4phi} C_{;zbar zbar} and
+    factor * s + e^{6phi} C_{;zbar zbar z z} of a curvature C of the chart."""
+    w = chart.e2phi
+    C2 = covariant_derivative(curvature, ("zbar", "zbar"), chart)
+    res1 = cartan_r(chart) * factor + (w * w) * C2
+    C4 = covariant_derivative(curvature, ("zbar", "zbar", "z", "z"), chart)
+    res2 = cartan_s(chart) * factor + (w * w * w) * C4
+    return res1, res2
 
 
 def qisgauss_residuals(chart: SurfaceChart):
     """Exact residuals of the two curvature identities
     12 r + e^{4phi} K_{;zbar zbar} and 12 s + e^{6phi} K_{;zbar zbar z z}."""
-    w = chart.e2phi
-    K = gauss_curvature(chart)
-    K2 = covariant_derivative(K, ("zbar", "zbar"), chart)
-    res1 = cartan_r(chart) * 12 + (w * w) * K2
-    K4 = covariant_derivative(K, ("zbar", "zbar", "z", "z"), chart)
-    res2 = cartan_s(chart) * 12 + (w * w * w) * K4
-    return res1, res2
+    return curvature_identity_residuals(gauss_curvature(chart), 12, chart)
 
 
 def divergence_form_residual(chart: SurfaceChart) -> TruncatedSeries:

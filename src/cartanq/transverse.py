@@ -18,7 +18,13 @@ from .errors import InvalidFiberPointError
 from .gaussrat import GaussianRational
 from .multipoly import MultiPoly
 from .series import TruncatedSeries
-from .surface import SurfaceChart, cartan_r, cartan_s, covariant_derivative, gauss_curvature
+from .surface import (
+    SurfaceChart,
+    cartan_r,
+    cartan_s,
+    curvature_identity_residuals,
+    gauss_curvature,
+)
 
 
 @dataclass(frozen=True)
@@ -71,16 +77,12 @@ class PseudohermitianChart:
 def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
     """Pseudohermitian scalar curvature R = -2 e^{-2phi} D Dbar phi.
 
-    Computed in the even form R = -(w D Dbar w - Dw Dbar w)/w^3 so it can be
-    cross-checked against the Gauss curvature (K = 2R) of the same chart.
+    Read off the connection form b = 2 D phi as R = -Dbar(b) e^{-2phi}, a
+    derivation independent of the Gauss curvature formula, so K = 2R is a
+    genuine cross-check; exact order N - 2.
     """
     base = chart.base
-    w = base.e2phi
-    dw = w.diff("z")
-    dbw = w.diff("zbar")
-    ddw = dw.diff("zbar")
-    inv3 = (base.e2phi_inv ** 3).truncated(base.order - 2)
-    return -((w * ddw - dw * dbw) * inv3)
+    return -(base.b.diff("zbar") * base.e2phi_inv.truncated(base.order - 2))
 
 
 @dataclass(frozen=True)
@@ -102,9 +104,6 @@ def connection_form_coefficients(chart: PseudohermitianChart) -> ConnectionForms
     b = chart.base.b
     minus_dphi = b * Fraction(-1, 2)
     dbar_phi = chart.base.bbar * Fraction(1, 2)
-    # skew-hermitian structure: the second coefficient is minus the conjugate
-    # of the first
-    assert dbar_phi == -(minus_dphi.conjugate())
     return ConnectionForms(
         theta1_coefficient=b, unitary_pair=(minus_dphi, dbar_phi)
     )
@@ -199,14 +198,7 @@ def verify_bracket_identity(perturb: bool = False) -> BracketReport:
 def check_qisgauss_trans(chart: PseudohermitianChart):
     """Exact residuals 6r + e^{4phi} R_{;1bar 1bar} and
     6s + e^{6phi} R_{;1bar 1bar 1 1}; both vanish identically."""
-    base = chart.base
-    w = base.e2phi
-    R = scalar_curvature_R(chart)
-    R2 = covariant_derivative(R, ("zbar", "zbar"), base)
-    res1 = cartan_r(base) * 6 + (w * w) * R2
-    R4 = covariant_derivative(R, ("zbar", "zbar", "z", "z"), base)
-    res2 = cartan_s(base) * 6 + (w * w * w) * R4
-    return res1, res2
+    return curvature_identity_residuals(scalar_curvature_R(chart), 6, chart.base)
 
 
 def k_equals_2r_residual(chart: PseudohermitianChart) -> TruncatedSeries:

@@ -163,6 +163,26 @@ def test_order_too_small_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curvature", "--input-kind", "conformal_factor_e2phi",
+         "--expr", "(1+z*zb)^-2", "--order", "12", "--display-order", "-3"),
+        ("calibrate-c", "--order", "6"),
+        ("quadrature-check", "--radial-panels", "0"),
+    ],
+    ids=["negative_display_order", "calibrate_order_6", "zero_radial_panels"],
+)
+def test_bad_numeric_flag_exits_1(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 def test_exit_code_2_on_identity_violation(capsys, monkeypatch):
     # identities cannot fail on genuine inputs; fabricate a nonzero residual
     def broken(chart):

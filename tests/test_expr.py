@@ -7,6 +7,7 @@ import pytest
 
 from cartanq.errors import ExpressionSyntaxError
 from cartanq.expr import parse_expression, parse_radial_polynomial, print_expression
+from cartanq.gaussrat import GaussianRational
 from cartanq.series import TruncatedSeries
 from conftest import random_real_series
 
@@ -68,6 +69,9 @@ def test_printer_round_trip_random():
         )
         assert parse_expression(print_expression(s), s.order) == s
     assert parse_expression(print_expression(TruncatedSeries.zero(4)), 4).is_zero
+    for imaginary in (GaussianRational(0, 1), GaussianRational(2, 1)):
+        with pytest.raises(ValueError):
+            print_expression(TruncatedSeries(4, {(0, 0): 1, (1, 1): imaginary}))
 
 
 def test_radial_polynomial():

@@ -12,12 +12,10 @@ from cartanq.gaussrat import GaussianRational
 from cartanq.series import (
     TruncatedSeries,
     differentiate,
-    elementary,
     evaluate,
     exp_series,
     log1p_series,
     reciprocal,
-    series_arith,
     sqrt_series,
 )
 from conftest import random_real_series, random_series
@@ -62,12 +60,6 @@ def test_add_example():
     a = TruncatedSeries(3, {(0, 0): 1, (1, 0): 2, (0, 1): 1})
     b = TruncatedSeries(3, {(0, 0): 3, (0, 1): -1})
     assert a + b == TruncatedSeries(3, {(0, 0): 4, (1, 0): 2})
-
-
-def test_series_arith_strict_order():
-    with pytest.raises(OrderMismatchError):
-        series_arith(ONE(4), ONE(5), "add")
-    assert series_arith(ONE(4), ONE(4), "mul") == ONE(4)
 
 
 def test_infix_aligns_to_min_order():
@@ -146,13 +138,6 @@ def test_sqrt_of_square_constant():
     s = TruncatedSeries.constant(Fraction(9, 4), 4) + TruncatedSeries.monomial(1, 1, 1, 4)
     root = sqrt_series(s)
     assert (root * root) == s
-
-
-def test_elementary_dispatch():
-    rho = TruncatedSeries.monomial(1, 1, 1, 4)
-    assert elementary(rho, "exp") == exp_series(rho)
-    with pytest.raises(ValueError):
-        elementary(rho, "sinh")
 
 
 def test_pow_negative_exponent():

@@ -127,6 +127,18 @@ def test_covariant_odd_word_needs_rational_sqrt():
     assert covariant_derivative(K4, ("zbar",), chart4).order == K4.order - 1
 
 
+def test_covariant_odd_word_propagates_unexpected_errors(monkeypatch):
+    # only an irrational e^{phi} becomes a RepresentationError; a bug inside
+    # the e^{phi} computation must surface as itself
+    def broken(self):
+        raise TypeError("bug in ephi_inv")
+
+    monkeypatch.setattr(SurfaceChart, "ephi_inv", broken)
+    chart4 = SurfaceChart(expand("4+z*zb", 8))
+    with pytest.raises(TypeError, match="bug in ephi_inv"):
+        covariant_derivative(gauss_curvature(chart4), ("zbar",), chart4)
+
+
 def test_covariant_word_length_guard():
     chart = flat_chart(order=4)
     K = gauss_curvature(chart)
