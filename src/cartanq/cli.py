@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -118,6 +119,16 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def _parse_probes(text: str):
     return [_parse_rational(p) for p in text.split(",") if p.strip()]
 
@@ -142,7 +153,8 @@ def _build_chart(args):
     echo = {
         "kind": args.input_kind,
         "source": args.expr if args.expr is not None else args.coeff_file,
-        "order": args.order,
+        # the effective order: a coefficient file may hold fewer terms than --order
+        "order": series.order,
     }
     if args.input_kind == "line_bundle_metric_h":
         return phi_from_line_bundle_metric(series), None, echo
@@ -502,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sphericity", help="sphericity verdict from r")
     _add_input_flags(sub)
     _add_output_flags(sub)
-    sub.add_argument("--verify-order", type=int, default=None)
+    sub.add_argument("--verify-order", type=_non_negative_int, default=None)
     sub.set_defaults(func=_cmd_sphericity)
 
     sub = subs.add_parser("calibrate-c", help="calibrate the weight-3 constant")
@@ -525,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub)
     sub.add_argument("--radial-panels", type=int, default=4)
     sub.add_argument("--angular-nodes", type=int, default=128)
-    sub.add_argument("--tolerance", type=float, default=1e-6)
+    sub.add_argument("--tolerance", type=_positive_float, default=1e-6,
+                     help="relative tolerance of the Calabi identities (finite, > 0)")
     sub.set_defaults(func=_cmd_quadrature)
 
     return parser

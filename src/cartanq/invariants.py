@@ -77,6 +77,10 @@ def is_spherical(chart: SurfaceChart, order: int) -> SphericityVerdict:
     This is a truncation-order statement, not a statement about the full
     germ; the verdict records how far vanishing was actually verified.
     """
+    if order < 0:
+        raise InsufficientOrderError(
+            f"verification order must be non-negative, got {order}"
+        )
     r = cartan_r(chart)
     if order > r.order:
         raise InsufficientOrderError(

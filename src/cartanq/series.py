@@ -7,14 +7,36 @@ of a truncation-exact input is exact only one order lower.  The infix
 operators combining several series align to the minimum order, which is the
 behaviour the geometry pipelines rely on.
 
-All values are immutable after construction and all operations are pure
-functions, so series can be shared freely across threads.
+Layout.  A series is ``(re + i im) / den``: one positive common denominator
+and lists of integer numerators for the real and the imaginary parts (``im``
+is ``None`` when every coefficient is real).  The lists are graded: the
+coefficient of z^k zbar^l sits at index d(d+1)/2 + l with d = k + l, so
+lowering the order is a prefix slice.  The lists end at the highest degree
+with a nonzero coefficient, and the gcd of ``den`` and every numerator is 1,
+so the layout is canonical and ``==`` and ``hash`` are structural.  All
+arithmetic works on the integers; ``GaussianRational`` values are built only
+at the boundary (``coeffs``, ``coeff``, ``constant_term``).
+
+Products use Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 44, 2009): the
+coefficient of (d, l) goes to slot d*S + l of one big integer, S being one
+more than the highest degree kept, so one integer product computes every
+coefficient of total degree <= N at once and the terms above N land beyond
+the slots that are read back.
+
+All values are immutable after construction (``coeffs`` and ``real_flag``
+are cached on first use, but depend only on the numerators) and all
+operations are pure functions, so series can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from itertools import repeat
+from math import gcd, isqrt, lcm
+from operator import mul
+from types import MappingProxyType
 
 from .errors import OrderMismatchError, SeriesDomainError
 from .gaussrat import GaussianRational
@@ -28,17 +50,149 @@ def _as_coeff(value) -> GaussianRational:
     return GaussianRational(value)
 
 
+def _size(rows: int) -> int:
+    """Length of a graded list holding the degrees 0 .. rows - 1."""
+    return rows * (rows + 1) // 2
+
+
+def _rows(size: int) -> int:
+    """Inverse of :func:`_size`."""
+    return (isqrt(8 * size + 1) - 1) // 2
+
+
+# -- integer kernels ----------------------------------------------------------------
+
+
+@lru_cache(maxsize=128)
+def _diff_table(var: str, rows: int):
+    """Source indices and factors of d/dz (or d/dzbar) on a graded list of
+    ``rows`` degrees, listed in the order of the graded result."""
+    index, factor = [], []
+    for d in range(1, rows):
+        base = _size(d)
+        for l in range(d):
+            if var == "z":
+                index.append(base + l)
+                factor.append(d - l)
+            else:
+                index.append(base + l + 1)
+                factor.append(l + 1)
+    return tuple(index), tuple(factor)
+
+
+@lru_cache(maxsize=64)
+def _conj_table(rows: int):
+    """Index of (l, k) for every (k, l) of a graded list of ``rows`` degrees."""
+    return tuple(_size(d) + d - l for d in range(rows) for l in range(d + 1))
+
+
+@lru_cache(maxsize=64)
+def _offset(nbytes: int, slots: int) -> int:
+    """The packed integer with the value 2**(8 nbytes - 1) in every slot."""
+    return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little") * slots, "little")
+
+
+def _pack(xs, rows: int, stride: int, nbytes: int) -> int:
+    """sum xs[(d, l)] * 2**(8 nbytes (d stride + l)) over the first ``rows``
+    degrees, built from byte slots offset to be non-negative."""
+    half = 1 << (8 * nbytes - 1)
+    pad = half.to_bytes(nbytes, "little")
+    parts = []
+    i = 0
+    for d in range(rows):
+        row = xs[i:i + d + 1]
+        i += d + 1
+        if any(row):
+            parts += map(int.to_bytes, map(half.__add__, row), repeat(nbytes), repeat("little"))
+            parts.append(pad * (stride - d - 1))
+        else:
+            parts.append(pad * stride)
+    return int.from_bytes(b"".join(parts), "little") - _offset(nbytes, rows * stride)
+
+
+def _unpack(value: int, rows: int, nbytes: int):
+    """Graded list of the slots (d, l), d < rows, of a product packed with
+    stride ``rows``.
+
+    Adding the offset makes every slot below row ``rows`` non-negative, so the
+    slots are independent byte ranges of one ``to_bytes``; the terms of
+    higher degree only touch the bytes above them."""
+    half = 1 << (8 * nbytes - 1)
+    pad = half.to_bytes(nbytes, "little")
+    stride = rows
+    slots = rows * stride
+    value += _offset(nbytes, slots)
+    size = max(slots * nbytes, value.bit_length() // 8 + 1)
+    buf = value.to_bytes(size, "little", signed=True)
+    from_bytes = int.from_bytes
+    out = []
+    for d in range(rows):
+        start = d * stride * nbytes
+        stop = start + (d + 1) * nbytes
+        if buf[start:stop] == pad * (d + 1):
+            out += [0] * (d + 1)
+        else:
+            out += [from_bytes(buf[p:p + nbytes], "little") - half
+                    for p in range(start, stop, nbytes)]
+    return out
+
+
+def _lincomb(fx: int, xs, fy: int, ys, size: int):
+    """fx * xs + fy * ys, with ``None`` or a shorter list read as zeros."""
+    xs = xs or ()
+    ys = ys or ()
+    if len(xs) < len(ys):
+        fx, xs, fy, ys = fy, ys, fx, xs
+    out = [fx * x + fy * y for x, y in zip(xs, ys)]
+    out += [fx * x for x in xs[len(ys):]]
+    out += [0] * (size - len(out))
+    return out
+
+
+def _bound(xs, ys) -> int:
+    """Largest absolute value in two numerator lists (``ys`` may be None)."""
+    top = max(map(abs, xs))
+    if ys:
+        top = max(top, max(map(abs, ys)))
+    return top
+
+
+def _hermitian(re, im, rows: int) -> bool:
+    """c_{kl} = conj(c_{lk}): each degree row of re is a palindrome and each
+    row of im an anti-palindrome."""
+    i = 0
+    for d in range(rows):
+        j = i + d + 1
+        row = re[i:j]
+        if row != row[::-1]:
+            return False
+        if im is not None:
+            row = im[i:j]
+            if row != [-x for x in reversed(row)]:
+                return False
+        i = j
+    return True
+
+
+def _series(order: int, den: int, re, im) -> "TruncatedSeries":
+    """The canonical series (re + i im) / den of the given order."""
+    s = object.__new__(TruncatedSeries)
+    s._assign(order, den, re, im)
+    return s
+
+
 class TruncatedSeries:
     """Bivariate series sum_{k+l <= order} c_{kl} z^k zbar^l, exact coefficients.
 
-    ``coeffs`` maps exponent pairs (k, l) to nonzero :class:`GaussianRational`
-    values; zero coefficients are never stored.  ``real_flag`` is True iff the
-    stored coefficients satisfy c_{kl} = conj(c_{lk}), i.e. the series
-    represents a real-valued function; it is recomputed on construction so the
-    claim can never drift from the data.
+    ``coeffs`` is a read-only mapping from exponent pairs (k, l) to nonzero
+    :class:`GaussianRational` values, built on first access; zero
+    coefficients never appear in it.  ``real_flag`` is True iff
+    c_{kl} = conj(c_{lk}) for all (k, l), i.e. the series represents a
+    real-valued function; it is computed from the numerators when first
+    asked for, so the claim can never drift from the data.
     """
 
-    __slots__ = ("order", "coeffs", "real_flag")
+    __slots__ = ("order", "_den", "_re", "_im", "_rows", "_coeffs", "_real")
 
     def __init__(self, order: int, coeffs=None):
         if order < 0:
@@ -55,19 +209,44 @@ class TruncatedSeries:
                 value = _as_coeff(value)
                 if value:
                     clean[(k, l)] = value
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "real_flag", self._check_real(clean))
+        den = lcm(1, *(q.denominator for c in clean.values() for q in (c.re, c.im)))
+        size = _size(max((k + l for k, l in clean), default=-1) + 1)
+        re, im = [0] * size, [0] * size
+        for (k, l), c in clean.items():
+            i = _size(k + l) + l
+            re[i] = c.re.numerator * (den // c.re.denominator)
+            im[i] = c.im.numerator * (den // c.im.denominator)
+        self._assign(order, den, re, im)
+
+    def _assign(self, order: int, den: int, re, im):
+        """Store (re + i im) / den in canonical form: no all-zero ``im``, no
+        trailing zero degree, gcd(den, numerators) = 1."""
+        if im is not None and not any(im):
+            im = None
+        n = len(re)
+        while n and not re[n - 1] and not (im and im[n - 1]):
+            n -= 1
+        rows = _rows(n - 1) + 1 if n else 0
+        n = _size(rows)
+        if n < len(re):
+            re = re[:n]
+            im = im[:n] if im else None
+        g = gcd(den, *re, *im) if im else gcd(den, *re)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [x // g for x in im] if im else None
+        setattr_ = object.__setattr__
+        setattr_(self, "order", order)
+        setattr_(self, "_den", den)
+        setattr_(self, "_re", re)
+        setattr_(self, "_im", im)
+        setattr_(self, "_rows", rows)
+        setattr_(self, "_coeffs", None)
+        setattr_(self, "_real", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
-
-    @staticmethod
-    def _check_real(coeffs) -> bool:
-        for (k, l), value in coeffs.items():
-            if coeffs.get((l, k)) != value.conjugate():
-                return False
-        return True
 
     # -- constructors --------------------------------------------------------
 
@@ -93,8 +272,29 @@ class TruncatedSeries:
 
     # -- basic accessors -------------------------------------------------------
 
+    def _value(self, i: int) -> GaussianRational:
+        im = self._im[i] if self._im else 0
+        return GaussianRational(Fraction(self._re[i], self._den), Fraction(im, self._den))
+
+    @property
+    def coeffs(self):
+        """Read-only mapping (k, l) -> nonzero GaussianRational, in graded order."""
+        if self._coeffs is None:
+            items = {}
+            re, im = self._re, self._im
+            for d in range(self._rows):
+                base = _size(d)
+                for l in range(d, -1, -1):
+                    i = base + l
+                    if re[i] or (im and im[i]):
+                        items[(d - l, l)] = self._value(i)
+            object.__setattr__(self, "_coeffs", MappingProxyType(items))
+        return self._coeffs
+
     def coeff(self, k: int, l: int) -> GaussianRational:
-        return self.coeffs.get((k, l), GaussianRational(0))
+        if k < 0 or l < 0 or k + l >= self._rows:
+            return GaussianRational(0)
+        return self._value(_size(k + l) + l)
 
     @property
     def constant_term(self) -> GaussianRational:
@@ -102,11 +302,24 @@ class TruncatedSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._re
+
+    @property
+    def real_flag(self) -> bool:
+        if self._real is None:
+            object.__setattr__(self, "_real", _hermitian(self._re, self._im, self._rows))
+        return self._real
 
     def graded_items(self):
-        """Coefficients in graded-lexicographic order (k+l, then k descending in l)."""
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
+        """Coefficients in graded-lexicographic order (k+l, then k ascending)."""
+        return list(self.coeffs.items())
+
+    def _lists(self, order: int):
+        """Numerator lists cut to total degree <= order, and their row count."""
+        if self._rows <= order + 1:
+            return self._re, self._im, self._rows
+        n = _size(order + 1)
+        return self._re[:n], (self._im[:n] if self._im else None), order + 1
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """Lower the truncation order; raising it would claim false exactness."""
@@ -116,62 +329,91 @@ class TruncatedSeries:
             )
         if order == self.order:
             return self
-        return TruncatedSeries(
-            order, {kl: c for kl, c in self.coeffs.items() if kl[0] + kl[1] <= order}
-        )
+        re, im, _ = self._lists(order)
+        return _series(order, self._den, re, im)
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _align(self, other):
+    def _combine(self, other, sign: int):
         if not isinstance(other, TruncatedSeries):
-            return NotImplemented, NotImplemented
-        n = min(self.order, other.order)
-        return self.truncated(n), other.truncated(n)
+            return NotImplemented
+        order = min(self.order, other.order)
+        ar, ai, _ = self._lists(order)
+        br, bi, _ = other._lists(order)
+        g = gcd(self._den, other._den)
+        fa, fb = other._den // g, self._den // g
+        size = max(len(ar), len(br))
+        re = _lincomb(fa, ar, sign * fb, br, size)
+        im = None if ai is None and bi is None else _lincomb(fa, ai, sign * fb, bi, size)
+        return _series(order, self._den * fa, re, im)
 
     def __add__(self, other):
-        a, b = self._align(other)
-        if a is NotImplemented:
-            return NotImplemented
-        coeffs = dict(a.coeffs)
-        for kl, c in b.coeffs.items():
-            coeffs[kl] = coeffs.get(kl, GaussianRational(0)) + c
-        return TruncatedSeries(a.order, coeffs)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        if a is NotImplemented:
-            return NotImplemented
-        coeffs = dict(a.coeffs)
-        for kl, c in b.coeffs.items():
-            coeffs[kl] = coeffs.get(kl, GaussianRational(0)) - c
-        return TruncatedSeries(a.order, coeffs)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return TruncatedSeries(self.order, {kl: -c for kl, c in self.coeffs.items()})
+        im = [-x for x in self._im] if self._im else None
+        return _series(self.order, self._den, [-x for x in self._re], im)
+
+    def _scaled(self, c) -> "TruncatedSeries":
+        """Product with the scalar c = (p + i q) / r."""
+        if isinstance(c, int):
+            p, q, r = c, 0, 1
+        elif isinstance(c, Fraction):
+            p, q, r = c.numerator, 0, c.denominator
+        else:
+            c = _as_coeff(c)
+            r = lcm(c.re.denominator, c.im.denominator)
+            p = c.re.numerator * (r // c.re.denominator)
+            q = c.im.numerator * (r // c.im.denominator)
+        re, im = self._re, self._im
+        if not q:
+            new_re = [p * x for x in re]
+            new_im = [p * y for y in im] if im else None
+        else:
+            new_re = _lincomb(p, re, -q, im, len(re))
+            new_im = _lincomb(q, re, p, im, len(re))
+        return _series(self.order, self._den * r, new_re, new_im)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = _as_coeff(other)
-            if not c:
-                return TruncatedSeries(self.order)
-            return TruncatedSeries(
-                self.order, {kl: v * c for kl, v in self.coeffs.items()}
-            )
-        a, b = self._align(other)
-        if a is NotImplemented:
+            return self._scaled(other)
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        order = a.order
-        out = {}
-        for (k1, l1), c1 in a.coeffs.items():
-            d1 = k1 + l1
-            for (k2, l2), c2 in b.coeffs.items():
-                if d1 + k2 + l2 > order:
-                    continue
-                kl = (k1 + k2, l1 + l2)
-                prod = c1 * c2
-                acc = out.get(kl)
-                out[kl] = prod if acc is None else acc + prod
-        return TruncatedSeries(order, out)
+        order = min(self.order, other.order)
+        ar, ai, ra = self._lists(order)
+        br, bi, rb = other._lists(order)
+        if not ra or not rb:
+            return _series(order, 1, [], None)
+        rows = min(order + 1, ra + rb - 1)
+        # a slot sums at most min(|a|, |b|) products of numerators (two such
+        # sums for complex by complex), plus one bit for the sign
+        width = (
+            _bound(ar, ai).bit_length()
+            + _bound(br, bi).bit_length()
+            + min(len(ar), len(br)).bit_length()
+            + (2 if ai and bi else 1)
+        )
+        nbytes = (width + 7) // 8
+        pa = _pack(ar, ra, rows, nbytes)
+        pb = pa if other is self else _pack(br, rb, rows, nbytes)
+        pai = _pack(ai, ra, rows, nbytes) if ai else None
+        pbi = (pai if other is self else _pack(bi, rb, rows, nbytes)) if bi else None
+        re = pa * pb
+        if pai is None and pbi is None:
+            im = None
+        elif pbi is None:
+            im = pai * pb
+        elif pai is None:
+            im = pa * pbi
+        else:
+            ii = pai * pbi
+            re, im = re - ii, (pa + pai) * (pb + pbi) - re - ii
+        re = _unpack(re, rows, nbytes)
+        im = None if im is None else _unpack(im, rows, nbytes)
+        return _series(order, self._den * other._den, re, im)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -196,9 +438,10 @@ class TruncatedSeries:
     # -- structure ------------------------------------------------------------
 
     def conjugate(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order, {(l, k): c.conjugate() for (k, l), c in self.coeffs.items()}
-        )
+        perm = _conj_table(self._rows)
+        re = [self._re[i] for i in perm]
+        im = [-self._im[i] for i in perm] if self._im else None
+        return _series(self.order, self._den, re, im)
 
     def diff(self, var: str) -> "TruncatedSeries":
         return differentiate(self, var)
@@ -211,10 +454,16 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (
+            self.order == other.order
+            and self._den == other._den
+            and self._re == other._re
+            and self._im == other._im
+        )
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.coeffs.items())))
+        im = tuple(self._im) if self._im else None
+        return hash((self.order, self._den, tuple(self._re), im))
 
     def __repr__(self):
         if self.is_zero:
@@ -235,20 +484,14 @@ def differentiate(s: TruncatedSeries, var: str) -> TruncatedSeries:
     """Formal partial derivative; the result order drops to N - 1."""
     if s.order < 1:
         raise OrderMismatchError("cannot differentiate an order-0 series")
-    out = {}
-    if var == "z":
-        for (k, l), c in s.coeffs.items():
-            if k >= 1:
-                out[(k - 1, l)] = c * k
-    elif var in ("zbar", "zb"):
-        for (k, l), c in s.coeffs.items():
-            if l >= 1:
-                out[(k, l - 1)] = c * l
-    else:
+    if var in ("zbar", "zb"):
+        var = "zbar"
+    elif var != "z":
         raise ValueError(f"unknown variable {var!r}")
-    order = s.order - 1
-    out = {kl: c for kl, c in out.items() if kl[0] + kl[1] <= order}
-    return TruncatedSeries(order, out)
+    index, factor = _diff_table(var, s._rows)
+    re = list(map(mul, factor, map(s._re.__getitem__, index)))
+    im = list(map(mul, factor, map(s._im.__getitem__, index))) if s._im else None
+    return _series(s.order - 1, s._den, re, im)
 
 
 def conjugate(s: TruncatedSeries) -> TruncatedSeries:

@@ -53,8 +53,8 @@ class PseudohermitianChart:
     ``torsion_zero`` is structurally true: the Reeb field of the symmetry is
     an infinitesimal automorphism, so A_11 = 0.  The Levi normalization
     (contact form theta = e^{-2phi} theta_0 with Levi form one against
-    theta^1 = dz) is checked by recomputing the d-theta coefficient b from
-    the stored metric series.
+    theta^1 = dz) holds by construction: the d-theta coefficient b is
+    D(e^{2phi}) / e^{2phi}, so b e^{2phi} = D(e^{2phi}) in the series ring.
     """
 
     contact_scale = "theta = e^{-2phi} theta_0, Levi form 1 against theta^1 = dz"
@@ -62,12 +62,6 @@ class PseudohermitianChart:
 
     def __init__(self, base: SurfaceChart):
         self.base = base
-        # Levi normalization: b * e^{2phi} must reproduce D(e^{2phi}) exactly
-        w = base.e2phi
-        lhs = (base.b * w.truncated(base.order - 1))
-        rhs = w.diff("z")
-        if lhs != rhs:
-            raise AssertionError("Levi normalization check failed for chart data")
 
     @property
     def order(self) -> int:

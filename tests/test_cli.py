@@ -111,6 +111,21 @@ def test_coeff_file_input(tmp_path, capsys):
     assert json.loads(out)["values"]["K_at_center"] == "4"
 
 
+def test_coeff_file_echoes_effective_order(tmp_path, capsys):
+    from cartanq.expr import parse_expression
+
+    path = tmp_path / "metric.coeffs"
+    path.write_text(dumps(parse_expression("(1+z*zb)^-2", 10)))
+    code, out = run(
+        capsys, "curvature", "--input-kind", "conformal_factor_e2phi",
+        "--coeff-file", str(path), "--order", "16",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["input"]["order"] == 10
+    assert report["series"]["K"]["order"] == 8
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _ = run(
@@ -170,8 +185,15 @@ def test_order_too_small_exits_1(capsys):
          "--expr", "(1+z*zb)^-2", "--order", "12", "--display-order", "-3"),
         ("calibrate-c", "--order", "6"),
         ("quadrature-check", "--radial-panels", "0"),
+        ("sphericity", "--input-kind", "conformal_factor_e2phi",
+         "--expr", "1+z*zb", "--order", "8", "--verify-order", "-3"),
+        # a bad tolerance must not turn a 3e-14 Calabi residual into exit 2
+        *[("quadrature-check", "--expr", "u/10", "--tolerance", t)
+          for t in ("-1", "0", "nan", "inf", "1e400")],
     ],
-    ids=["negative_display_order", "calibrate_order_6", "zero_radial_panels"],
+    ids=["negative_display_order", "calibrate_order_6", "zero_radial_panels",
+         "negative_verify_order", "tolerance_negative", "tolerance_zero",
+         "tolerance_nan", "tolerance_inf", "tolerance_overflow"],
 )
 def test_bad_numeric_flag_exits_1(capsys, argv):
     try:

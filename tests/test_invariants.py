@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cartanq.errors import (
+    CartanQError,
     InsufficientOrderError,
     InsufficientProbesError,
     NormalFormViolationError,
@@ -71,6 +72,12 @@ def test_is_spherical_order_guard():
     available = cartan_r(chart).order
     with pytest.raises(InsufficientOrderError):
         is_spherical(chart, available + 1)
+
+
+def test_is_spherical_rejects_negative_order():
+    # a negative order would verify nothing and still report "spherical"
+    with pytest.raises(CartanQError):
+        is_spherical(one_plus_rho_chart(), -3)
 
 
 def test_spherical_implies_q11_zero():

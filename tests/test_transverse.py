@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanq.errors import InvalidFiberPointError
 from cartanq.expr import parse_expression
 from cartanq.gaussrat import GaussianRational
 from cartanq.multipoly import VARIABLES
-from cartanq.surface import cartan_r, gauss_curvature
+from cartanq.surface import SurfaceChart, cartan_r, gauss_curvature
 from cartanq.transverse import (
     FiberPoint,
     PseudohermitianChart,
@@ -22,7 +24,13 @@ from cartanq.transverse import (
     scalar_curvature_R,
     verify_bracket_identity,
 )
-from conftest import f_eps_chart, flat_chart, one_plus_rho_chart, round_sphere_chart
+from conftest import (
+    f_eps_chart,
+    flat_chart,
+    one_plus_rho_chart,
+    random_positive_metric,
+    round_sphere_chart,
+)
 
 
 def pchart(chart):
@@ -43,6 +51,24 @@ def test_scalar_curvature_examples():
 def test_k_equals_2r(corpus):
     for chart in corpus:
         assert k_equals_2r_residual(pchart(chart)).is_zero
+
+
+def levi_normalized(chart):
+    """b e^{2phi} = D(e^{2phi}): the contact form has Levi form one against dz."""
+    w = chart.e2phi
+    return chart.b * w.truncated(chart.order - 1) == w.diff("z")
+
+
+def test_levi_normalization(corpus):
+    for chart in corpus:
+        assert levi_normalized(chart)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10))
+def test_levi_normalization_random_metrics(seed, n):
+    chart = SurfaceChart(random_positive_metric(random.Random(seed), n))
+    assert levi_normalized(chart)
 
 
 def test_structure_flags():
