@@ -46,12 +46,14 @@ from .transverse import (
     verify_bracket_identity,
 )
 
-INPUT_KINDS = (
-    "line_bundle_metric_h",
-    "conformal_factor_e2phi",
-    "rigid_defining_F",
-    "compact_profile_psi",
-)
+SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defining_F")
+
+# Cost caps.  invariants on an 8-term polynomial e^{2phi} took 0.5 / 2.4 / 8.3 s
+# at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  The fine quadrature pass
+# holds a (32 * panels) x (2 * nodes) complex array, 64 MB at the caps.
+MAX_ORDER = 64
+MAX_RADIAL_PANELS = 32
+MAX_ANGULAR_NODES = 2048
 
 
 # -- serialization helpers -------------------------------------------------------
@@ -109,14 +111,21 @@ def _parse_lambda(text: str) -> GaussianRational:
     raise argparse.ArgumentTypeError(f"bad lambda {text!r}; expected 're' or 're,im'")
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_in(lo=None, hi=None):
+    """argparse type: an int within the bounds that are given."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if lo is not None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -145,8 +154,6 @@ def _load_series(args) -> TruncatedSeries:
 
 def _build_chart(args):
     """Returns (chart, rigid_surface_or_None, input echo)."""
-    if args.input_kind is None:
-        raise CartanQError("--input-kind is required when a surface input is given")
     if args.order < 4:
         raise CartanQError(f"--order must be at least 4, got {args.order}")
     series = _load_series(args)
@@ -160,18 +167,26 @@ def _build_chart(args):
         return phi_from_line_bundle_metric(series), None, echo
     if args.input_kind == "conformal_factor_e2phi":
         return SurfaceChart(series), None, echo
-    if args.input_kind == "rigid_defining_F":
-        surface = RigidSurface(series)
-        return surface.chart, surface, echo
-    raise CartanQError(
-        f"input kind {args.input_kind!r} is not a surface input for this subcommand"
-    )
+    surface = RigidSurface(series)
+    return surface.chart, surface, echo
 
 
 # -- report assembly -----------------------------------------------------------------
 
 
-def _emit(report: dict, args) -> None:
+def _report(args, echo, *, series=None, values=None, residuals=None,
+            verdicts=None, calibration=None) -> int:
+    """Writes the report and returns the exit code.  Every subcommand reports
+    through here, so the key order is fixed once: ``series`` appears only for
+    the subcommands that pass it."""
+    report = {"input": echo}
+    if series is not None:
+        report["series"] = {
+            name: _series_json(s, args.display_order) for name, s in series.items()
+        }
+    report.update(values=values or {}, residuals=residuals or {},
+                  verdicts=verdicts or {}, calibration=calibration,
+                  version=__version__)
     if args.format == "json":
         text = json.dumps(report, indent=2)
     else:
@@ -181,6 +196,7 @@ def _emit(report: dict, args) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+    return _exit_code(report["residuals"])
 
 
 def _render_text(report: dict, prefix: str = "") -> str:
@@ -258,23 +274,15 @@ def _cmd_curvature(args) -> int:
     pchart = PseudohermitianChart(chart)
     K = gauss_curvature(chart)
     R = scalar_curvature_R(pchart)
-    report = {
-        "input": echo,
-        "series": {
-            "K": _series_json(K, args.display_order),
-            "R": _series_json(R, args.display_order),
-        },
-        "values": {
+    return _report(
+        args, echo,
+        series={"K": K, "R": R},
+        values={
             "K_at_center": _grat(K.constant_term),
             "R_at_center": _grat(R.constant_term),
         },
-        "residuals": {"k_minus_2r": _residual_entry(k_equals_2r_residual(pchart))},
-        "verdicts": {},
-        "calibration": None,
-        "version": __version__,
-    }
-    _emit(report, args)
-    return _exit_code(report["residuals"])
+        residuals={"k_minus_2r": _residual_entry(k_equals_2r_residual(pchart))},
+    )
 
 
 def _cmd_invariants(args) -> int:
@@ -293,22 +301,16 @@ def _cmd_invariants(args) -> int:
     residuals["bracket_identity"] = _bracket_entry(verify_bracket_identity())
     residuals.update(_weight3_entries(pchart))
 
-    report = {
-        "input": echo,
-        "series": {
-            "K": _series_json(K, args.display_order),
-            "R": _series_json(R, args.display_order),
-            "b": _series_json(chart.b, args.display_order),
-            "r": _series_json(r, args.display_order),
-            "s": _series_json(s, args.display_order),
-        },
-        "values": {
+    return _report(
+        args, echo,
+        series={"K": K, "R": R, "b": chart.b, "r": r, "s": s},
+        values={
             "lambda": _grat(p.lam),
             "q_at_center": _grat(q_rep.constant_value()),
             "q11_at_center": _grat(q11_rep.constant_value()),
         },
-        "residuals": residuals,
-        "verdicts": {
+        residuals=residuals,
+        verdicts={
             **_verdict_json(verdict),
             "normal_form_coefficients_A0": (
                 None
@@ -318,51 +320,35 @@ def _cmd_invariants(args) -> int:
                 }
             ),
         },
-        "calibration": None,
-        "version": __version__,
-    }
-    _emit(report, args)
-    return _exit_code(residuals)
+    )
 
 
 def _cmd_sphericity(args) -> int:
     chart, _, echo = _build_chart(args)
     r = cartan_r(chart)
     order = r.order if args.verify_order is None else min(args.verify_order, r.order)
-    verdict = is_spherical(chart, order)
-    report = {
-        "input": echo,
-        "series": {"r": _series_json(r, args.display_order)},
-        "values": {},
-        "residuals": {},
-        "verdicts": _verdict_json(verdict),
-        "calibration": None,
-        "version": __version__,
-    }
-    _emit(report, args)
-    return 0
+    return _report(args, echo, series={"r": r},
+                   verdicts=_verdict_json(is_spherical(chart, order)))
 
 
 def _cmd_calibrate(args) -> int:
     result = calibrate_c(args.probes, family=args.family, order=args.order)
-    report = {
-        "input": {"probes": [_rat(p) for p in result.epsilon_probes],
-                  "family": result.probe_family, "order": args.order},
-        "values": {},
-        "residuals": {},
-        "verdicts": {},
-        "calibration": {
+    return _report(
+        args,
+        {"probes": [_rat(p) for p in result.epsilon_probes],
+         "family": result.probe_family, "order": args.order},
+        calibration={
             "c": _rat(result.c_value),
             "polynomial_in_eps": [_rat(c) for c in result.interpolated_polynomial],
             "constant_term_zero": True,
         },
-        "version": __version__,
-    }
-    _emit(report, args)
-    return 0
+    )
 
 
 def _cmd_verify_identities(args) -> int:
+    has_input = args.expr is not None or args.coeff_file is not None
+    if (args.input_kind is not None) != has_input:
+        raise CartanQError("--input-kind and one of --expr/--coeff-file go together")
     control = verify_bracket_identity(perturb=True)
     residuals = {
         "bracket_identity": _bracket_entry(verify_bracket_identity()),
@@ -371,23 +357,14 @@ def _cmd_verify_identities(args) -> int:
             "value": "nonzero as required" if not control.is_zero else "0 (BROKEN)",
         },
     }
-    if args.expr is not None or args.coeff_file is not None:
+    if has_input:
         chart, _, echo = _build_chart(args)
         pchart = PseudohermitianChart(chart)
         residuals.update(_chart_residuals(pchart))
         residuals.update(_weight3_entries(pchart))
     else:
         echo = {"kind": None, "source": None, "order": args.order}
-    report = {
-        "input": echo,
-        "values": {},
-        "residuals": residuals,
-        "verdicts": {},
-        "calibration": None,
-        "version": __version__,
-    }
-    _emit(report, args)
-    return _exit_code(residuals)
+    return _report(args, echo, residuals=residuals)
 
 
 def _cmd_quadrature(args) -> int:
@@ -401,18 +378,13 @@ def _cmd_quadrature(args) -> int:
         rigidity_demo,
     )
 
-    if args.input_kind not in (None, "compact_profile_psi"):
-        raise CartanQError("quadrature-check takes a compact_profile_psi input")
     psi = parse_radial_polynomial(args.expr) if args.expr else []
     metric = CompactMetric(psi)
-    try:
-        scheme = QuadratureScheme(
-            radial_panels=args.radial_panels,
-            angular_nodes=args.angular_nodes,
-            rel_tolerance=args.tolerance,
-        )
-    except ValueError as exc:
-        raise CartanQError(str(exc)) from exc
+    scheme = QuadratureScheme(
+        radial_panels=args.radial_panels,
+        angular_nodes=args.angular_nodes,
+        rel_tolerance=args.tolerance,
+    )
     if not metric.e2phi_positive_on_grid(scheme):
         raise CartanQError("e^{2phi} is not positive on the quadrature grid")
 
@@ -435,49 +407,57 @@ def _cmd_quadrature(args) -> int:
     residuals["rigidity_verdicts_consistent"] = {
         "within_tolerance": demo.consistent,
     }
-    report = {
-        "input": {
+    return _report(
+        args,
+        {
             "kind": "compact_profile_psi",
             "psi": [_rat(c) for c in metric.psi_coeffs],
             "radial_panels": scheme.radial_panels,
             "angular_nodes": scheme.angular_nodes,
         },
-        "values": {
+        values={
             "chart_area": area,
             "chart_area_error_estimate": area_err,
             "i2": demo.i2,
             "i4": demo.i4,
         },
-        "residuals": residuals,
-        "verdicts": {
+        residuals=residuals,
+        verdicts={
             "numeric_spherical": demo.numeric_spherical,
             "symbolic_spherical": demo.symbolic_spherical,
         },
-        "calibration": None,
-        "version": __version__,
-    }
-    _emit(report, args)
-    return _exit_code(residuals)
+    )
 
 
 # -- argument parsing -----------------------------------------------------------------
+#
+# Each subcommand is built from exactly the flags it reads, so that a flag it
+# would ignore is a usage error instead of a silent no-op.
 
 
-def _add_input_flags(sub, require_input=True):
-    sub.add_argument("--input-kind", choices=INPUT_KINDS,
-                     required=require_input, default=None)
-    group = sub.add_mutually_exclusive_group(required=require_input)
-    group.add_argument("--expr", help="expression in z, zb (or u for profiles)")
+def _add_surface_input(sub, required=True):
+    sub.add_argument("--input-kind", choices=SURFACE_KINDS, required=required)
+    group = sub.add_mutually_exclusive_group(required=required)
+    group.add_argument("--expr", help="expression in z, zb")
     group.add_argument("--coeff-file", help="path to a coefficient file")
-    sub.add_argument("--order", type=int, default=16,
-                     help="truncation order (default 16)")
+    sub.add_argument("--order", type=_int_in(hi=MAX_ORDER), default=16,
+                     help=f"truncation order, at most {MAX_ORDER} (default 16)")
 
 
 def _add_output_flags(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--out", default=None, help="write the report to a file")
-    sub.add_argument("--display-order", type=_non_negative_int, default=6,
+
+
+def _add_series_command(subs, name, help, func):
+    """A subcommand that reads a surface input and prints series."""
+    sub = subs.add_parser(name, help=help)
+    _add_surface_input(sub)
+    _add_output_flags(sub)
+    sub.add_argument("--display-order", type=_int_in(lo=0), default=6,
                      help="echo series coefficients up to this total degree")
+    sub.set_defaults(func=func)
+    return sub
 
 
 class _Parser(argparse.ArgumentParser):
@@ -498,45 +478,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("curvature", help="Gauss and pseudohermitian curvature")
-    _add_input_flags(sub)
-    _add_output_flags(sub)
-    sub.set_defaults(func=_cmd_curvature)
+    _add_series_command(subs, "curvature", "Gauss and pseudohermitian curvature",
+                        _cmd_curvature)
 
-    sub = subs.add_parser("invariants", help="full invariant report")
-    _add_input_flags(sub)
-    _add_output_flags(sub)
+    sub = _add_series_command(subs, "invariants", "full invariant report",
+                              _cmd_invariants)
     sub.add_argument("--lambda", dest="lam", type=_parse_lambda,
                      default=GaussianRational(1),
                      help="fiber coordinate lambda as 're' or 're,im'")
-    sub.set_defaults(func=_cmd_invariants)
 
-    sub = subs.add_parser("sphericity", help="sphericity verdict from r")
-    _add_input_flags(sub)
-    _add_output_flags(sub)
-    sub.add_argument("--verify-order", type=_non_negative_int, default=None)
-    sub.set_defaults(func=_cmd_sphericity)
+    sub = _add_series_command(subs, "sphericity", "sphericity verdict from r",
+                              _cmd_sphericity)
+    sub.add_argument("--verify-order", type=_int_in(lo=0), default=None)
 
     sub = subs.add_parser("calibrate-c", help="calibrate the weight-3 constant")
     sub.add_argument("--probes", type=_parse_probes,
                      default=[Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)])
     sub.add_argument("--family", choices=("a44", "a24"), default="a44")
-    sub.add_argument("--order", type=int, default=12)
+    sub.add_argument("--order", type=_int_in(hi=MAX_ORDER), default=12,
+                     help=f"truncation order, at most {MAX_ORDER} (default 12)")
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_calibrate)
 
     sub = subs.add_parser("verify-identities",
                           help="bracket identity and per-input identity residuals")
-    _add_input_flags(sub, require_input=False)
+    _add_surface_input(sub, required=False)
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_verify_identities)
 
     sub = subs.add_parser("quadrature-check",
                           help="compact-manifold quadrature verification")
-    _add_input_flags(sub, require_input=False)
+    sub.add_argument("--input-kind", choices=("compact_profile_psi",),
+                     help="the only input kind of this subcommand")
+    sub.add_argument("--expr",
+                     help="profile psi, a polynomial in u of degree at most 16")
     _add_output_flags(sub)
-    sub.add_argument("--radial-panels", type=int, default=4)
-    sub.add_argument("--angular-nodes", type=int, default=128)
+    sub.add_argument("--radial-panels", type=_int_in(1, MAX_RADIAL_PANELS), default=4,
+                     help=f"Gauss-Legendre panels in u, 1 to {MAX_RADIAL_PANELS} "
+                     "(default 4)")
+    sub.add_argument("--angular-nodes", type=_int_in(16, MAX_ANGULAR_NODES),
+                     default=128,
+                     help=f"trapezoid nodes in angle, 16 to {MAX_ANGULAR_NODES} "
+                     "(default 128)")
     sub.add_argument("--tolerance", type=_positive_float, default=1e-6,
                      help="relative tolerance of the Calabi identities (finite, > 0)")
     sub.set_defaults(func=_cmd_quadrature)
@@ -549,10 +532,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CartanQError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CartanQError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

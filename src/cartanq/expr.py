@@ -187,13 +187,15 @@ def parse_expression(text: str, order: int) -> TruncatedSeries:
 
 
 def parse_radial_polynomial(text: str, max_degree: int = 16):
-    """Parse a polynomial in the radial variable u; returns Fraction coefficients.
+    """Parse a polynomial in the radial variable u of degree at most
+    ``max_degree``; returns its ascending Fraction coefficients.
 
     Used for the compact-metric conformal profile.  The expression must be a
-    genuine polynomial: exp/log and division leaving non-polynomial tails are
-    rejected.
+    genuine polynomial: it is expanded one degree beyond ``max_degree``, and a
+    term there (as from exp(u) - 1, 1/(1+u) or u^17) is rejected instead of
+    truncated.  A series whose next term lies further out still passes.
     """
-    s = _Parser(text, max_degree, variables=("u",)).parse()
+    s = _Parser(text, max_degree + 1, variables=("u",)).parse()
     coeffs = {}
     for (k, l), c in s.coeffs.items():
         if l != 0:
@@ -201,6 +203,10 @@ def parse_radial_polynomial(text: str, max_degree: int = 16):
         if c.im:
             raise ExpressionSyntaxError("radial profile must be real", 0)
         coeffs[k] = c.re
+    if max_degree + 1 in coeffs:
+        raise ExpressionSyntaxError(
+            f"radial profile must be a polynomial of degree at most {max_degree}", 0
+        )
     degree = max(coeffs, default=0)
     return [coeffs.get(j, 0) for j in range(degree + 1)]
 

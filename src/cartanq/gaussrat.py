@@ -37,10 +37,6 @@ class GaussianRational:
             return cls(value)
         return NotImplemented
 
-    @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
-
     # -- predicates --------------------------------------------------------
 
     def __bool__(self) -> bool:

@@ -1,9 +1,13 @@
 """CLI surface: subcommands, exit-code contract, JSON schema stability."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanq import cli
 from cartanq.seriesfile import dumps
@@ -17,6 +21,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_rejected(capsys, argv):
+    """Returns (exit code, stdout, `error:` lines of stderr), also when
+    argparse rejects the argv."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, [l for l in captured.err.splitlines() if "error:" in l]
 
 
 def test_invariants_f44(capsys):
@@ -190,19 +205,50 @@ def test_order_too_small_exits_1(capsys):
         # a bad tolerance must not turn a 3e-14 Calabi residual into exit 2
         *[("quadrature-check", "--expr", "u/10", "--tolerance", t)
           for t in ("-1", "0", "nan", "inf", "1e400")],
+        # cost caps: --order <= 64, --radial-panels <= 32, --angular-nodes <= 2048
+        ("curvature", "--input-kind", "conformal_factor_e2phi",
+         "--expr", "1+z*zb", "--order", "65"),
+        ("calibrate-c", "--order", "65"),
+        ("verify-identities", "--order", "65"),
+        ("quadrature-check", "--radial-panels", "33"),
+        ("quadrature-check", "--angular-nodes", "15"),
+        ("quadrature-check", "--angular-nodes", "100000000"),
     ],
     ids=["negative_display_order", "calibrate_order_6", "zero_radial_panels",
          "negative_verify_order", "tolerance_negative", "tolerance_zero",
-         "tolerance_nan", "tolerance_inf", "tolerance_overflow"],
+         "tolerance_nan", "tolerance_inf", "tolerance_overflow",
+         "order_above_cap", "calibrate_order_above_cap", "verify_order_above_cap",
+         "radial_panels_above_cap", "angular_nodes_below_16",
+         "angular_nodes_above_cap"],
 )
 def test_bad_numeric_flag_exits_1(capsys, argv):
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse rejects the value
-        code = exc.code
-    err = capsys.readouterr().err
+    code, _, errors = run_rejected(capsys, argv)
     assert code == 1
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert len(errors) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quadrature-check", "--coeff-file", "no-such-file.coeffs"),
+        ("quadrature-check", "--order", "99"),
+        ("quadrature-check", "--display-order", "3"),
+        ("calibrate-c", "--display-order", "3"),
+        ("verify-identities", "--display-order", "3"),
+        ("verify-identities", "--input-kind", "rigid_defining_F"),
+        ("curvature", "--input-kind", "compact_profile_psi", "--expr", "1+z*zb"),
+        ("quadrature-check", "--expr", "exp(u)-1"),
+        ("quadrature-check", "--expr", "1/(1+u)"),
+    ],
+    ids=["quadrature_coeff_file", "quadrature_order", "quadrature_display_order",
+         "calibrate_display_order", "verify_display_order", "verify_kind_without_input",
+         "surface_profile_kind", "profile_exp", "profile_reciprocal"],
+)
+def test_flag_a_subcommand_would_ignore_exits_1(capsys, argv):
+    """A flag the subcommand does not read, or an input it would silently
+    truncate, is a usage error rather than a no-op."""
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, len(errors)) == (1, "", 1)
 
 
 def test_exit_code_2_on_identity_violation(capsys, monkeypatch):
@@ -223,3 +269,89 @@ def test_exit_code_helper():
     assert cli._exit_code({"a": {"exact_zero": True}}) == 0
     assert cli._exit_code({"a": {"exact_zero": False, "value": "1"}}) == 2
     assert cli._exit_code({"a": {"within_tolerance": False}}) == 2
+
+
+# -- fuzz: every argv ends as exit 0, 1 or 2, never as an exception --------------------
+
+_SURFACE_FLAGS = {
+    "--input-kind": ("line_bundle_metric_h", "conformal_factor_e2phi",
+                     "rigid_defining_F", "compact_profile_psi", "bogus"),
+    "--expr": (F44, "(1+z*zb)^-2", "1+z*zb", "exp(-z*zb)", "z*zb", "log(2+z*zb)",
+               "1 + @", "z^", "(1+z)^-3", "zb*z + z^2*zb^2", ""),
+    "--coeff-file": ("{good}", "{bad}", "{dir}/missing.coeffs"),
+    "--order": ("4", "6", "8", "12", "3", "-1", "65", "x", "1.5"),
+}
+_OUTPUT_FLAGS = {
+    "--format": ("json", "text", "xml"),
+    "--out": ("{dir}/report.json", "{dir}/missing/report.json"),
+    "--bogus": ("1",),
+}
+_DISPLAY_ORDER = {"--display-order": ("0", "3", "12", "-1", "x")}
+
+FUZZ_FLAGS = {
+    "curvature": {**_SURFACE_FLAGS, **_OUTPUT_FLAGS, **_DISPLAY_ORDER},
+    "invariants": {**_SURFACE_FLAGS, **_OUTPUT_FLAGS, **_DISPLAY_ORDER,
+                   "--lambda": ("1", "2", "1,1", "0", "0,0", "1,2,3", "1/0", "a")},
+    "sphericity": {**_SURFACE_FLAGS, **_OUTPUT_FLAGS, **_DISPLAY_ORDER,
+                   "--verify-order": ("0", "4", "12", "-3", "x")},
+    "calibrate-c": {**_OUTPUT_FLAGS,
+                    "--probes": ("1/10,1/16,1/25", "1/10,1/16,1/25,1/36", "1/10,1/10,1/25",
+                                 "0,1/2,1/3", "1/10", "", "1/0", "a,b"),
+                    "--family": ("a44", "a24", "a66"),
+                    "--order": ("8", "12", "6", "-1", "65", "x"),
+                    **_DISPLAY_ORDER},
+    "verify-identities": {**_SURFACE_FLAGS, **_OUTPUT_FLAGS, **_DISPLAY_ORDER},
+    "quadrature-check": {**_OUTPUT_FLAGS,
+                         "--input-kind": ("compact_profile_psi", "rigid_defining_F"),
+                         "--expr": ("u/10", "", "exp(u)-1", "u^", "z", "1/(1+u)", "u^17"),
+                         "--radial-panels": ("1", "2", "0", "33", "x"),
+                         "--angular-nodes": ("16", "64", "15", "2049", "x"),
+                         "--tolerance": ("1e-6", "1e-300", "0", "-1", "nan", "x"),
+                         "--coeff-file": ("{good}",), "--order": ("8",),
+                         **_DISPLAY_ORDER},
+}
+
+_SURFACE_BASE = ["--input-kind", "rigid_defining_F", "--expr", F44, "--order", "8"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One subcommand and up to four flags with drawn values, flags that the
+    subcommand does not take included; a surface subcommand starts from a
+    valid input half of the time, so that the drawn flags also reach the
+    computation and the report."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    argv = [command]
+    if "--input-kind" in flags and command != "quadrature-check" and draw(st.booleans()):
+        argv += _SURFACE_BASE
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    from cartanq.expr import parse_expression
+
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "good.coeffs").write_text(dumps(parse_expression(F44, 10)))
+    (path / "bad.coeffs").write_text("order 6\n1 1 one 0/1\n")
+    return path
+
+
+@settings(derandomize=True, max_examples=150, deadline=10_000)
+@given(argv=fuzz_argv())
+def test_cli_fuzz_exit_contract(fuzz_dir, argv):
+    argv = [a.format(dir=fuzz_dir, good=fuzz_dir / "good.coeffs",
+                     bad=fuzz_dir / "bad.coeffs") for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(lines) == 1, (argv, err.getvalue())

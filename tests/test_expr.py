@@ -81,3 +81,15 @@ def test_radial_polynomial():
     assert parse_radial_polynomial("0") == [0]
     with pytest.raises(ExpressionSyntaxError):
         parse_radial_polynomial("z + u")
+
+
+@pytest.mark.parametrize("text", ["exp(u)-1", "1/(1+u)", "log(1+u)", "u^17"])
+def test_radial_polynomial_rejects_what_it_would_truncate(text):
+    with pytest.raises(ExpressionSyntaxError):
+        parse_radial_polynomial(text)
+
+
+def test_radial_polynomial_keeps_top_degree():
+    assert parse_radial_polynomial("u^16 + (1+u)^2/(1+u)") == (
+        [1, 1] + [0] * 14 + [Fraction(1)]
+    )
