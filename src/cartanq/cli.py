@@ -48,9 +48,10 @@ from .transverse import (
 
 SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defining_F")
 
-# Cost caps.  invariants on an 8-term polynomial e^{2phi} took 0.5 / 2.4 / 8.3 s
-# at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  The fine quadrature pass
-# holds a (32 * panels) x (2 * nodes) complex array, 64 MB at the caps.
+# Cost caps.  invariants on the 8-term polynomial e^{2phi} of README takes
+# 0.18 / 0.74 / 2.7 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  The
+# fine quadrature pass holds a (32 * panels) x (2 * nodes) complex array, 64 MB
+# at the caps.
 MAX_ORDER = 64
 MAX_RADIAL_PANELS = 32
 MAX_ANGULAR_NODES = 2048

@@ -70,11 +70,31 @@ class _Tokenizer:
         return tok
 
 
+def _degree(s: TruncatedSeries) -> int:
+    """Highest total degree with a nonzero coefficient; -1 for zero."""
+    return max((k + l for k, l in s.coeffs), default=-1)
+
+
 class _Parser:
-    def __init__(self, text: str, order: int, variables=("z", "zb")):
+    """Recursive-descent parser that expands as it parses.
+
+    In radial mode the variable is u and the expression must be a polynomial
+    of degree at most ``order``, checked operation by operation: exp, log and
+    negative exponents are rejected, a division must leave no remainder, and
+    no product or power may exceed degree ``order``.  Every value is then an
+    exact polynomial, so nothing is truncated."""
+
+    def __init__(self, text: str, order: int, radial: bool = False):
         self.toks = _Tokenizer(text)
         self.order = order
-        self.variables = variables
+        self.radial = radial
+        self.variables = ("u",) if radial else ("z", "zb")
+
+    def _fits(self, degree: int, pos: int):
+        if degree > self.order:
+            raise ExpressionSyntaxError(
+                f"radial profile must be a polynomial of degree at most {self.order}", pos
+            )
 
     def parse(self) -> TruncatedSeries:
         result = self._expr()
@@ -102,12 +122,21 @@ class _Parser:
                 self.toks.next()
                 rhs = self._unary()
                 if value == "*":
+                    if self.radial:
+                        self._fits(_degree(acc) + _degree(rhs), pos)
                     acc = acc * rhs
                 else:
                     try:
                         acc = acc * reciprocal(rhs)
                     except SeriesDomainError as exc:
                         raise ExpressionSyntaxError(str(exc), pos) from None
+                    # the quotient is a polynomial iff quotient * divisor stays
+                    # within the order: then it equals the dividend exactly
+                    if self.radial and _degree(acc) + _degree(rhs) > self.order:
+                        raise ExpressionSyntaxError(
+                            "radial profile must be a polynomial: the division "
+                            "leaves a remainder", pos
+                        )
             else:
                 return acc
 
@@ -131,6 +160,12 @@ class _Parser:
                 kind, value, pos = self.toks.next()
             if kind != "int":
                 raise ExpressionSyntaxError("expected integer exponent", pos)
+            if self.radial:
+                if sign < 0:
+                    raise ExpressionSyntaxError(
+                        "radial profile must be a polynomial: negative exponent", pos
+                    )
+                self._fits(value * max(_degree(base), 0), pos)
             try:
                 return base ** (sign * value)
             except SeriesDomainError as exc:
@@ -143,6 +178,10 @@ class _Parser:
             return TruncatedSeries.constant(value, self.order)
         if kind == "name":
             if value in _FUNCTIONS:
+                if self.radial:
+                    raise ExpressionSyntaxError(
+                        f"radial profile must be a polynomial: {value} is not allowed", pos
+                    )
                 kind2, value2, pos2 = self.toks.next()
                 if kind2 != "op" or value2 != "(":
                     raise ExpressionSyntaxError(
@@ -190,12 +229,11 @@ def parse_radial_polynomial(text: str, max_degree: int = 16):
     """Parse a polynomial in the radial variable u of degree at most
     ``max_degree``; returns its ascending Fraction coefficients.
 
-    Used for the compact-metric conformal profile.  The expression must be a
-    genuine polynomial: it is expanded one degree beyond ``max_degree``, and a
-    term there (as from exp(u) - 1, 1/(1+u) or u^17) is rejected instead of
-    truncated.  A series whose next term lies further out still passes.
+    Used for the compact-metric conformal profile.  Polynomiality is checked
+    operation by operation (see :class:`_Parser`), so a profile such as
+    exp(u) - 1, 1/(1+u^18) or u^17 is rejected instead of truncated.
     """
-    s = _Parser(text, max_degree + 1, variables=("u",)).parse()
+    s = _Parser(text, max_degree, radial=True).parse()
     coeffs = {}
     for (k, l), c in s.coeffs.items():
         if l != 0:
@@ -203,10 +241,6 @@ def parse_radial_polynomial(text: str, max_degree: int = 16):
         if c.im:
             raise ExpressionSyntaxError("radial profile must be real", 0)
         coeffs[k] = c.re
-    if max_degree + 1 in coeffs:
-        raise ExpressionSyntaxError(
-            f"radial profile must be a polynomial of degree at most {max_degree}", 0
-        )
     degree = max(coeffs, default=0)
     return [coeffs.get(j, 0) for j in range(degree + 1)]
 

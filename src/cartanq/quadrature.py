@@ -180,7 +180,8 @@ class CompactMetric:
         """
         rho = TruncatedSeries.monomial(1, 1, 1, order)
         one = TruncatedSeries.constant(1, order)
-        u_series = rho * reciprocal(one + rho)
+        inv = reciprocal(one + rho)
+        u_series = rho * inv
         psi_rel = TruncatedSeries.zero(order)
         power = one
         for j, c in enumerate(self.psi_coeffs):
@@ -189,8 +190,7 @@ class CompactMetric:
             power = power * u_series if j > 1 else u_series
             if c:
                 psi_rel = psi_rel + power * c
-        inv_sq = reciprocal(one + rho) ** 2
-        e2phi = inv_sq * exp_series(psi_rel * 2)
+        e2phi = inv * inv * exp_series(psi_rel * 2)
         return SurfaceChart(e2phi, provenance="direct")
 
     def e2phi_positive_on_grid(self, scheme: "QuadratureScheme") -> bool:

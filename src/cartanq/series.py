@@ -24,6 +24,12 @@ more than the highest degree kept, so one integer product computes every
 coefficient of total degree <= N at once and the terms above N land beyond
 the slots that are read back.
 
+The elementary functions are Newton iterations that double the exact order
+at each step (Brent and Kung, "Fast algorithms for manipulating formal power
+series", JACM 25, 1978), so they cost O(log N) products, most of them short.
+log and exp use the Euler operator E = z d/dz + zbar d/dzbar, which multiplies
+the degree-d part by d: E log f = E f / f.
+
 All values are immutable after construction (``coeffs`` and ``real_flag``
 are cached on first use, but depend only on the numerators) and all
 operations are pure functions, so series can be shared freely across threads.
@@ -425,15 +431,10 @@ class TruncatedSeries:
             raise TypeError("series exponent must be an integer")
         if n < 0:
             return reciprocal(self) ** (-n)
-        result = TruncatedSeries.constant(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n <= 1:
+            return self if n else TruncatedSeries.constant(1, self.order)
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     # -- structure ------------------------------------------------------------
 
@@ -498,48 +499,104 @@ def conjugate(s: TruncatedSeries) -> TruncatedSeries:
     return s.conjugate()
 
 
-def _compose_maclaurin(s: TruncatedSeries, taylor_coeffs) -> TruncatedSeries:
-    """Sum a_j * s^j for a series s with zero constant term."""
-    order = s.order
-    acc = TruncatedSeries.constant(taylor_coeffs[0], order)
-    power = TruncatedSeries.constant(1, order)
-    for a in taylor_coeffs[1:]:
-        power = power * s
-        if power.is_zero:
-            break
-        if a:
-            acc = acc + power * a
-    return acc
+def _start(s: TruncatedSeries) -> int:
+    """The order to which a function of s(0) alone is exact: one below the
+    lowest degree of s - s(0) with a nonzero coefficient."""
+    re, im = s._re, s._im
+    i = next((i for i in range(1, len(re)) if re[i] or (im and im[i])), None)
+    return s.order if i is None else min(_rows(i) - 1, s.order)
 
 
-def exp_series(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term (exp of a nonzero rational is irrational)."""
-    if s.constant_term:
-        raise SeriesDomainError("exp requires zero constant term for exactness")
-    coeffs = [Fraction(1)]
-    for j in range(1, s.order + 1):
-        coeffs.append(coeffs[-1] / j)
-    return _compose_maclaurin(s, coeffs)
+def _lift(s: TruncatedSeries, order: int, keep: int) -> TruncatedSeries:
+    """The degrees <= keep of s as a series of the given order, for a factor
+    whose higher degrees only reach degrees of the product that are not read."""
+    re, im, _ = s._lists(keep)
+    return _series(order, s._den, re, im)
 
 
-def log1p_series(s: TruncatedSeries) -> TruncatedSeries:
-    """log(1 + s) for a series s with zero constant term."""
-    if s.constant_term:
-        raise SeriesDomainError("log1p requires zero constant term")
-    coeffs = [Fraction(0)]
-    for j in range(1, s.order + 1):
-        coeffs.append(Fraction((-1) ** (j + 1), j))
-    return _compose_maclaurin(s, coeffs)
+def _plus(s: TruncatedSeries, k: int) -> TruncatedSeries:
+    """s + k for an integer k."""
+    re = list(s._re) or [0]
+    re[0] += k * s._den
+    return _series(s.order, s._den, re, s._im)
+
+
+@lru_cache(maxsize=64)
+def _degrees(rows: int):
+    """Total degree of every index of a graded list of ``rows`` degrees."""
+    return tuple(d for d in range(rows) for _ in range(d + 1))
+
+
+def _euler(s: TruncatedSeries, inverse: bool = False) -> TruncatedSeries:
+    """E s = z ds/dz + zbar ds/dzbar, the degree-d part times d, or with
+    ``inverse`` E^-1 of a series without constant term; both keep the order."""
+    factor, den = _degrees(s._rows), s._den
+    if inverse:
+        top = lcm(*factor[1:])
+        factor, den = [top // d if d else 0 for d in factor], den * top
+    re = list(map(mul, factor, s._re))
+    return _series(s.order, den, re, list(map(mul, factor, s._im)) if s._im else None)
+
+
+def _newton(order: int, x: TruncatedSeries, step) -> TruncatedSeries:
+    """Newton iteration from x, exact to its own order m: x becomes
+    step(x, m, n), exact to n = min(2m + 1, order), until n = order.  A step
+    adds x times a correction that is O(m + 1), so only the degrees of x up
+    to n - m - 1 enter that product."""
+    while x.order < order:
+        m = x.order
+        n = min(2 * m + 1, order)
+        x = step(_lift(x, n, m), m, n)
+    return x
+
+
+def _inv_root(f: TruncatedSeries, x: TruncatedSeries, p: int) -> TruncatedSeries:
+    """f^(-1/p) from x, a root exact to the order of x, by the Newton step
+    x <- x (1 + (1 - f x^p) / p): with f x^p = 1 + O(m + 1) the error becomes
+    O(2m + 2) for p = 1 (the reciprocal) and p = 2."""
+    def step(x, m, n):
+        re, im, _ = x._lists(n - m - 1)
+        return x - _series(n, x._den * p, re, im) * _plus(f.truncated(n) * x ** p, -1)
+
+    return _newton(f.order, x, step)
 
 
 def reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    """1/s via the geometric series; the constant term must be nonzero."""
+    """1/s by Newton iteration from 1/s(0); the constant term must be nonzero.
+    At order N it makes at most 2 (floor(log2 N) + 1) series products."""
     c = s.constant_term
     if not c:
         raise SeriesDomainError("reciprocal requires nonzero constant term")
-    v = s * (GaussianRational(1) / c) - TruncatedSeries.constant(1, s.order)
-    coeffs = [Fraction((-1) ** j) for j in range(s.order + 1)]
-    return _compose_maclaurin(v, coeffs) * (GaussianRational(1) / c)
+    return _inv_root(s, TruncatedSeries.constant(1 / c, _start(s)), 1)
+
+
+def log1p_series(s: TruncatedSeries) -> TruncatedSeries:
+    """log(1 + s) = E^-1(E s / (1 + s)) for a series s with zero constant term."""
+    if s.constant_term:
+        raise SeriesDomainError("log1p requires zero constant term")
+    return _euler(_euler(s) * reciprocal(_plus(s, 1)), inverse=True)
+
+
+def exp_series(s: TruncatedSeries) -> TruncatedSeries:
+    """exp of a series with zero constant term (exp of a nonzero rational is
+    irrational), by the Newton iteration g <- g (1 + s - log g).
+
+    With g = exp(s) + O(m + 1) and h = 1/g + O(m + 1), E(s - log g) =
+    (g E s - E g) / g is O(m + 1), so it equals h (g E s - E g) to order
+    2m + 1; h follows g by one step of the reciprocal iteration."""
+    if s.constant_term:
+        raise SeriesDomainError("exp requires zero constant term for exactness")
+    es = _euler(s)
+    h = TruncatedSeries.constant(1, _start(s))
+
+    def step(g, m, n):
+        nonlocal h
+        t = _euler(_lift(h, n, n - m - 1) * (g * es.truncated(n) - _euler(g)), inverse=True)
+        g = g + _lift(g, n, n - m - 1) * t
+        h = _inv_root(g, h, 1) if n < s.order else h
+        return g
+
+    return _newton(s.order, h, step)
 
 
 def _rational_sqrt(q: Fraction):
@@ -552,22 +609,18 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Square root; the constant term must be the square of a positive rational."""
+def inv_sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
+    """1/sqrt(s) by Newton iteration; s(0) must be the square of a positive rational."""
     c = s.constant_term
-    if c.im or c.re <= 0:
-        raise SeriesDomainError("sqrt requires a positive rational constant term")
-    root = _rational_sqrt(c.re)
+    root = None if c.im else _rational_sqrt(c.re)
     if root is None:
-        raise SeriesDomainError(
-            f"sqrt of constant term {c.re} is irrational; no exact representation"
-        )
-    v = s * (GaussianRational(1) / c) - TruncatedSeries.constant(1, s.order)
-    # binomial coefficients C(1/2, j)
-    coeffs = [Fraction(1)]
-    for j in range(1, s.order + 1):
-        coeffs.append(coeffs[-1] * (Fraction(1, 2) - (j - 1)) / j)
-    return _compose_maclaurin(v, coeffs) * root
+        raise SeriesDomainError(f"sqrt of constant term {c} is not a positive rational square")
+    return _inv_root(s, TruncatedSeries.constant(1 / root, _start(s)), 2)
+
+
+def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
+    """sqrt(s) = s / sqrt(s); s(0) must be the square of a positive rational."""
+    return s * inv_sqrt_series(s)
 
 
 def evaluate(s: TruncatedSeries, point) -> complex:

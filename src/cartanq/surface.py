@@ -28,9 +28,9 @@ from .errors import (
 from .gaussrat import GaussianRational
 from .series import (
     TruncatedSeries,
+    inv_sqrt_series,
     log1p_series,
     reciprocal,
-    sqrt_series,
 )
 
 CovariantWord = Tuple[str, ...]
@@ -67,15 +67,29 @@ class SurfaceChart:
             self._cache[key] = value
             return value
 
-    @property
-    def e2phi_inv(self) -> TruncatedSeries:
-        return self._cached("e2phi_inv", lambda: reciprocal(self.e2phi))
+    def w_power(self, k: int) -> TruncatedSeries:
+        """e^{2k phi} = w^k for an integer k; exact order N.
+
+        Each power is derived once per chart, as the power next to it toward
+        w^0 times w or 1/w, so every formula that needs w^k shares one series."""
+
+        def make():
+            if k == 0:
+                return TruncatedSeries.constant(1, self.order)
+            if k == 1:
+                return self.e2phi
+            if k == -1:
+                return reciprocal(self.e2phi)
+            unit = 1 if k > 0 else -1
+            return self.w_power(k - unit) * self.w_power(unit)
+
+        return self._cached(("w", k), make)
 
     @property
     def b(self) -> TruncatedSeries:
         """b = 2 D phi = D(e^{2phi}) / e^{2phi}; exact order N - 1."""
         return self._cached(
-            "b", lambda: self.e2phi.diff("z") * self.e2phi_inv.truncated(self.order - 1)
+            "b", lambda: self.e2phi.diff("z") * self.w_power(-1).truncated(self.order - 1)
         )
 
     @property
@@ -83,11 +97,12 @@ class SurfaceChart:
         return self._cached("bbar", lambda: self.b.conjugate())
 
     def ephi(self) -> TruncatedSeries:
-        """e^{phi} = sqrt(w); exists exactly only when w(0) is a rational square."""
-        return self._cached("ephi", lambda: sqrt_series(self.e2phi))
+        """e^{phi} = w e^{-phi}; exists exactly only when w(0) is a rational square."""
+        return self._cached("ephi", lambda: self.e2phi * self.ephi_inv())
 
     def ephi_inv(self) -> TruncatedSeries:
-        return self._cached("ephi_inv", lambda: reciprocal(self.ephi()))
+        """e^{-phi} = 1/sqrt(w); exists exactly only when w(0) is a rational square."""
+        return self._cached("ephi_inv", lambda: inv_sqrt_series(self.e2phi))
 
     def __repr__(self):
         return (
@@ -151,7 +166,7 @@ def gauss_curvature(chart: SurfaceChart) -> TruncatedSeries:
         dw = w.diff("z")
         dbw = w.diff("zbar")
         ddw = dw.diff("zbar")
-        inv3 = (chart.e2phi_inv ** 3).truncated(chart.order - 2)
+        inv3 = chart.w_power(-3).truncated(chart.order - 2)
         return (w * ddw - dw * dbw) * inv3 * Fraction(-2)
 
     return chart._cached("K", make)
@@ -189,17 +204,17 @@ def covariant_derivative(
         else:
             raise ValueError(f"unknown covariant letter {letter!r}")
         m -= 1
-    if m % 2 == 0:
-        power = (chart.e2phi_inv ** (-m // 2)).truncated(S.order)
-        return S * power
-    try:
-        factor = (chart.ephi_inv() ** (-m)).truncated(S.order)
-    except SeriesDomainError as exc:
-        raise RepresentationError(
-            "odd-letter covariant word on a chart whose e^{phi} is irrational "
-            "at the center; use even words or numeric mode"
-        ) from exc
-    return S * factor
+    if m % 2:
+        try:
+            half = chart.ephi_inv()
+        except SeriesDomainError as exc:
+            raise RepresentationError(
+                "odd-letter covariant word on a chart whose e^{phi} is irrational "
+                "at the center; use even words or numeric mode"
+            ) from exc
+        S = S * half.truncated(S.order)
+    k = (m + 1) // 2  # e^{m phi} = w^k, times e^{-phi} when m is odd
+    return S * chart.w_power(k).truncated(S.order) if k else S
 
 
 def cartan_r(chart: SurfaceChart) -> TruncatedSeries:
@@ -244,11 +259,10 @@ def curvature_identity_residuals(
 ):
     """Exact residuals factor * r + e^{4phi} C_{;zbar zbar} and
     factor * s + e^{6phi} C_{;zbar zbar z z} of a curvature C of the chart."""
-    w = chart.e2phi
     C2 = covariant_derivative(curvature, ("zbar", "zbar"), chart)
-    res1 = cartan_r(chart) * factor + (w * w) * C2
+    res1 = cartan_r(chart) * factor + chart.w_power(2) * C2
     C4 = covariant_derivative(curvature, ("zbar", "zbar", "z", "z"), chart)
-    res2 = cartan_s(chart) * factor + (w * w * w) * C4
+    res2 = cartan_s(chart) * factor + chart.w_power(3) * C4
     return res1, res2
 
 
@@ -261,7 +275,6 @@ def qisgauss_residuals(chart: SurfaceChart):
 def divergence_form_residual(chart: SurfaceChart) -> TruncatedSeries:
     """s - e^{4phi} D(e^{-2phi} D(e^{-2phi} r)); identically zero."""
     s = cartan_s(chart)
-    w = chart.e2phi
-    w_inv = chart.e2phi_inv
+    w_inv = chart.w_power(-1)
     inner = (w_inv * cartan_r(chart)).diff("z")
-    return s - (w * w) * (w_inv * inner).diff("z")
+    return s - chart.w_power(2) * (w_inv * inner).diff("z")

@@ -76,7 +76,7 @@ def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
     genuine cross-check; exact order N - 2.
     """
     base = chart.base
-    return -(base.b.diff("zbar") * base.e2phi_inv.truncated(base.order - 2))
+    return -(base.b.diff("zbar") * base.w_power(-1).truncated(base.order - 2))
 
 
 @dataclass(frozen=True)

@@ -76,3 +76,20 @@ def chart_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return chart_corpus()
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Every series-by-series product made while the test runs, as
+    (a, b, a * b); products by a scalar are not listed."""
+    made = []
+    inner = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        out = inner(a, b)
+        if isinstance(b, TruncatedSeries):
+            made.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    return made

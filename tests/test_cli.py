@@ -239,10 +239,12 @@ def test_bad_numeric_flag_exits_1(capsys, argv):
         ("curvature", "--input-kind", "compact_profile_psi", "--expr", "1+z*zb"),
         ("quadrature-check", "--expr", "exp(u)-1"),
         ("quadrature-check", "--expr", "1/(1+u)"),
+        ("quadrature-check", "--expr", "1/(1+u^18)"),
     ],
     ids=["quadrature_coeff_file", "quadrature_order", "quadrature_display_order",
          "calibrate_display_order", "verify_display_order", "verify_kind_without_input",
-         "surface_profile_kind", "profile_exp", "profile_reciprocal"],
+         "surface_profile_kind", "profile_exp", "profile_reciprocal",
+         "profile_reciprocal_far_term"],
 )
 def test_flag_a_subcommand_would_ignore_exits_1(capsys, argv):
     """A flag the subcommand does not read, or an input it would silently

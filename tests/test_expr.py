@@ -83,7 +83,11 @@ def test_radial_polynomial():
         parse_radial_polynomial("z + u")
 
 
-@pytest.mark.parametrize("text", ["exp(u)-1", "1/(1+u)", "log(1+u)", "u^17"])
+@pytest.mark.parametrize("text", [
+    "exp(u)-1", "1/(1+u)", "log(1+u)", "u^17",
+    # non-polynomial or too high terms two or more degrees past the cap
+    "1/(1+u^18)", "u^18", "u^9*u^9", "(1+u^2)/(1+u)", "exp(u-u)", "(1+u)^-1*(1+u)",
+])
 def test_radial_polynomial_rejects_what_it_would_truncate(text):
     with pytest.raises(ExpressionSyntaxError):
         parse_radial_polynomial(text)

@@ -140,6 +140,34 @@ def test_sqrt_of_square_constant():
     assert (root * root) == s
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 12, 31, 32, 48])
+def test_reciprocal_product_count(products, order):
+    # a degree-1 term starts the iteration at order 0, the longest case
+    s = ONE(order) + Z(order) + ZB(order) * 3
+    products.clear()
+    reciprocal(s)
+    assert len(products) <= 2 * order.bit_length()  # 2 (floor(log2 N) + 1)
+
+
+def test_reciprocal_starts_where_the_constant_is_exact(products):
+    # 1/2 is exact to order 5 for 2 + z^3 zb^3: two steps reach 11 and 12
+    s = ONE(12) * 2 + TruncatedSeries.monomial(3, 3, Fraction(16, 10), 12)
+    products.clear()
+    reciprocal(s)
+    assert len(products) == 4
+
+
+def test_pow_makes_no_product_by_a_constant(products):
+    s = ONE(8) + Z(8) + ZB(8)
+    products.clear()
+    assert s ** 1 == s and not products
+    for n in range(2, 9):
+        s ** n
+    assert not [ab for ab in products
+                if any(set(x.coeffs) <= {(0, 0)} for x in ab[:2])]
+    assert len(products) == sum(n.bit_length() + bin(n).count("1") - 2 for n in range(2, 9))
+
+
 def test_pow_negative_exponent():
     s = ONE(5) + Z(5)
     assert s ** -2 == reciprocal(s) * reciprocal(s)

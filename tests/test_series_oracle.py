@@ -11,6 +11,7 @@ order 0, and operands of unequal order.
 
 from datetime import timedelta
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 
 from cartanq.errors import OrderMismatchError, SeriesDomainError
 from cartanq.gaussrat import GaussianRational
-from cartanq.series import TruncatedSeries, reciprocal
+from cartanq.series import (
+    TruncatedSeries,
+    exp_series,
+    log1p_series,
+    reciprocal,
+    sqrt_series,
+)
 
 ORACLE = settings(
     max_examples=150, deadline=timedelta(seconds=5), derandomize=True, database=None
@@ -89,6 +96,37 @@ def ref_reciprocal(a, n):
             t = _cmul(inv, acc)
             out[(k, l)] = (-t[0], -t[1])
     return _clean(out)
+
+
+def ref_maclaurin(v, n, taylor):
+    """sum taylor[j] * v^j for j <= n, v without constant term."""
+    out, power = {}, {(0, 0): (Fraction(1), Fraction(0))}
+    for a in taylor[:n + 1]:
+        out = ref_add(out, {kl: (x * a, y * a) for kl, (x, y) in power.items()}, n)
+        power = ref_mul(power, v, n)
+    return out
+
+
+def ref_exp(v, n):
+    taylor = [Fraction(1)]
+    for j in range(1, n + 1):
+        taylor.append(taylor[-1] / j)
+    return ref_maclaurin(v, n, taylor)
+
+
+def ref_log1p(v, n):
+    return ref_maclaurin(v, n, [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, n + 1)])
+
+
+def ref_sqrt(a, n):
+    """sqrt of a series whose constant term is c^2, c > 0 rational: c sqrt(1 + v)."""
+    c2 = a[(0, 0)][0]
+    c = Fraction(isqrt(c2.numerator), isqrt(c2.denominator))
+    v = _clean({kl: (x / c2, y / c2) for kl, (x, y) in a.items() if kl != (0, 0)})
+    taylor = [Fraction(1)]  # binomial coefficients C(1/2, j)
+    for j in range(1, n + 1):
+        taylor.append(taylor[-1] * (Fraction(1, 2) - (j - 1)) / j)
+    return {kl: (x * c, y * c) for kl, (x, y) in ref_maclaurin(v, n, taylor).items()}
 
 
 # -- conversion ------------------------------------------------------------------
@@ -251,3 +289,38 @@ def test_reciprocal_matches_schoolbook(ops):
     inv = reciprocal(s)
     assert inv.order == n
     assert from_series(inv) == ref_reciprocal(a, n)
+
+
+@settings(ORACLE, max_examples=80)
+@given(operands())
+def test_exp_and_log1p_match_schoolbook(ops):
+    n, a, _, _ = ops
+    v = {kl: c for kl, c in a.items() if kl != (0, 0)}
+    s = to_series(n, v)
+    assert from_series(exp_series(s)) == ref_exp(v, n)
+    assert from_series(log1p_series(s)) == ref_log1p(v, n)
+    with pytest.raises(SeriesDomainError):
+        exp_series(to_series(n, {(0, 0): (Fraction(1), Fraction(0)), **v}))
+
+
+@settings(ORACLE, max_examples=80)
+@given(operands())
+def test_sqrt_matches_schoolbook(ops):
+    n, a, _, _ = ops
+    # a positive rational square as the constant term, from the draw itself
+    root = abs(a.get((0, 0), (Fraction(0),))[0]) or Fraction(1)
+    a = {**a, (0, 0): (root * root, Fraction(0))}
+    assert from_series(sqrt_series(to_series(n, a))) == ref_sqrt(a, n)
+
+
+def _is_square(q):
+    return q > 0 and all(isqrt(x) ** 2 == x for x in (q.numerator, q.denominator))
+
+
+def test_ephi_on_charts_with_a_square_center(corpus):
+    square = [chart for chart in corpus if _is_square(chart.e2phi.constant_term.re)]
+    assert len(square) >= 3
+    for chart in square:
+        one = TruncatedSeries.constant(1, chart.order)
+        assert chart.ephi() * chart.ephi_inv() == one
+        assert chart.ephi() ** 2 == chart.e2phi

@@ -1,9 +1,11 @@
 """Surface pipeline: charts, curvature, covariant words, Cartan's r and s."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from cartanq import surface
 from cartanq.errors import (
     InsufficientOrderError,
     MalformedDefiningFunctionError,
@@ -24,7 +26,14 @@ from cartanq.surface import (
     phi_from_rigid_defining,
     qisgauss_residuals,
 )
-from conftest import f_eps_chart, flat_chart, one_plus_rho_chart, round_sphere_chart
+from cartanq.transverse import PseudohermitianChart, check_qisgauss_trans, k_equals_2r_residual
+from conftest import (
+    f_eps_chart,
+    flat_chart,
+    one_plus_rho_chart,
+    random_positive_metric,
+    round_sphere_chart,
+)
 
 N = 14
 
@@ -209,3 +218,22 @@ def test_low_order_coefficients_stable_under_refinement():
     assert r_hi.truncated(r_lo.order) == r_lo
     s_lo, s_hi = cartan_s(lo), cartan_s(hi)
     assert s_hi.truncated(s_lo.order) == s_lo
+
+
+def test_residual_suite_derives_each_power_of_w_once(products, monkeypatch):
+    chart = SurfaceChart(random_positive_metric(random.Random(11), 12))
+    w = chart.e2phi
+    inv = reciprocal(w)
+    powers = {2: w * w, 3: w * w * w, -2: inv * inv, -3: inv * inv * inv}
+    inverted = []
+    monkeypatch.setattr(surface, "reciprocal", lambda s: inverted.append(s) or reciprocal(s))
+    products.clear()
+    # the six chart residuals of the CLI report
+    pchart = PseudohermitianChart(chart)
+    qisgauss_residuals(chart)
+    check_qisgauss_trans(pchart)
+    divergence_form_residual(chart)
+    k_equals_2r_residual(pchart)
+    assert inverted == [w]
+    for k, power in powers.items():
+        assert sum(out == power for _, _, out in products) == 1, k
