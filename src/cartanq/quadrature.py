@@ -12,14 +12,25 @@ G univariate; differentiation closes on that form:
     D    (z^k G) = z^(k-1) (k G + u (1 - u) G')
     Dbar (z^k G) = z^(k+1) (1 - u)^2 G'
 
-G is kept as a sympy expression in u and lambdified once per evaluator, so
-grid evaluation is vectorized numpy.
+Since w = e^{2phi} = (1 - u)^2 e^{2 psi} and the only divisions are by powers
+of w, every G is a closed form
+
+    G = sum_c e^{c psi(u)} p_c(u) / (1 - u)^{m_c},    p_c in Q[u],
+
+    G' = sum_c e^{c psi} (1 - u)^{-m_c - 1} [(c psi' p_c + p_c') (1 - u) + m_c p_c],
+
+kept exactly as Fraction coefficient lists.  sympy only generates code: each
+evaluated G is lambdified once, so grid evaluation is vectorized numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from math import lcm
+from numbers import Rational
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,53 +43,201 @@ from .surface import SurfaceChart
 _U = sp.Symbol("u", nonnegative=True)
 
 
+# -- ascending coefficient lists over Q ------------------------------------------------
+
+
+def _trim(p) -> list:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _padd(p, q) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, b in enumerate(q):
+        out[i] += b
+    return out
+
+
+def _pscale(p, s) -> list:
+    return [s * a for a in p]
+
+
+def _pmul(p, q) -> list:
+    """Product by integer convolution over the common denominators."""
+    if not p or not q:
+        return []
+    dp = lcm(*(a.denominator for a in p))
+    dq = lcm(*(b.denominator for b in q))
+    ip = [a.numerator * (dp // a.denominator) for a in p]
+    iq = [b.numerator * (dq // b.denominator) for b in q]
+    out = [0] * (len(ip) + len(iq) - 1)
+    for i, a in enumerate(ip):
+        if a:
+            for j, b in enumerate(iq):
+                out[i + j] += a * b
+    den = dp * dq
+    return [Fraction(n, den) for n in out]
+
+
+def _pderiv(p) -> list:
+    return [j * a for j, a in enumerate(p)][1:]
+
+
+def _times_one_minus_u(p: list, n: int) -> list:
+    for _ in range(n):
+        p = [a - b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+def _canonical(terms, merge: bool) -> tuple:
+    """One (c, m, p) per c, in ascending c, with p nonzero and p(1) != 0.
+
+    ``merge`` puts every term at c = 0, which is exact when psi = 0.
+    """
+    groups = {}
+    for c, m, p in terms:
+        p = _trim(p)
+        if p:
+            groups.setdefault(0 if merge else c, []).append((m, p))
+    out = []
+    for c in sorted(groups):
+        parts = groups[c]
+        m = max(mj for mj, _ in parts)
+        p = []
+        for mj, pj in parts:
+            p = _padd(p, _times_one_minus_u(pj, m - mj))
+        p = _trim(p)
+        while p and not sum(p):
+            # p = (1 - u) q with q_j = p_0 + ... + p_j
+            p = list(accumulate(p))[:-1]
+            m -= 1
+        if p:
+            out.append((c, m, tuple(p)))
+    return tuple(out)
+
+
+def _rational(a) -> sp.Rational:
+    return sp.Rational(a.numerator, a.denominator)
+
+
+def _horner(p) -> sp.Expr:
+    expr = sp.Integer(0)
+    for a in reversed(p):
+        expr = expr * _U + _rational(a)
+    return expr
+
+
 @dataclass(frozen=True)
 class RadialFunction:
-    """A chart function of the form z^k * G(u), G a sympy expression in u."""
+    """The chart function z^k * sum_c e^{c psi(u)} p_c(u) / (1 - u)^{m_c}.
+
+    ``terms`` holds the triples (c, m_c, p_c), p_c the ascending rational
+    coefficients of a polynomial; ``psi`` holds those of the profile.  The
+    constructor brings them to canonical form: one term per c, no factor
+    (1 - u) left in p_c, and every c merged to 0 when psi = 0.  For any other
+    psi, constant or not, the e^{c psi} with distinct c are linearly
+    independent over Q(u) (Lindemann-Weierstrass when psi is constant), so
+    == is structural and the zero function is the one without terms.
+    """
 
     k: int
-    G: sp.Expr
+    terms: tuple = ()
+    psi: tuple = ()
+
+    def __post_init__(self):
+        psi = tuple(_trim(self.psi))
+        try:
+            terms = _canonical(self.terms, not psi)
+        except TypeError:
+            raise ValueError("terms must be (c, m, p) triples, p a list") from None
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "terms", terms)
+
+    def _check_profile(self, other: "RadialFunction"):
+        if other.psi != self.psi:
+            raise ValueError("radial functions of different profiles psi")
+
+    def _scaled(self, s) -> "RadialFunction":
+        return RadialFunction(
+            self.k, [(c, m, _pscale(p, s)) for c, m, p in self.terms], self.psi
+        )
 
     def __mul__(self, other):
         if isinstance(other, RadialFunction):
-            return RadialFunction(self.k + other.k, self.G * other.G)
-        return RadialFunction(self.k, self.G * sp.nsimplify(other))
+            self._check_profile(other)
+            terms = [(c1 + c2, m1 + m2, _pmul(p1, p2))
+                     for c1, m1, p1 in self.terms for c2, m2, p2 in other.terms]
+            return RadialFunction(self.k + other.k, terms, self.psi)
+        if isinstance(other, Rational):
+            return self._scaled(Fraction(other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, RadialFunction):
-            return RadialFunction(self.k - other.k, self.G / other.G)
-        return RadialFunction(self.k, self.G / sp.nsimplify(other))
+            self._check_profile(other)
+            if len(other.terms) != 1 or len(other.terms[0][2]) != 1:
+                raise ValueError(
+                    "can only divide by a single term e^{c psi} a (1-u)^m, "
+                    "such as a power of w"
+                )
+            (c, m, (a,)), = other.terms
+            inv = 1 / Fraction(a)
+            terms = [(cj - c, mj - m, _pscale(pj, inv)) for cj, mj, pj in self.terms]
+            return RadialFunction(self.k - other.k, terms, self.psi)
+        if isinstance(other, Rational):
+            return self._scaled(1 / Fraction(other))
+        return NotImplemented
 
     def __add__(self, other):
         if not isinstance(other, RadialFunction) or other.k != self.k:
             raise ValueError("can only add radial functions of equal z-grade")
-        return RadialFunction(self.k, self.G + other.G)
+        self._check_profile(other)
+        return RadialFunction(self.k, self.terms + other.terms, self.psi)
 
     def __sub__(self, other):
         if not isinstance(other, RadialFunction) or other.k != self.k:
             raise ValueError("can only subtract radial functions of equal z-grade")
-        return RadialFunction(self.k, self.G - other.G)
+        return self + (-other)
 
     def __neg__(self):
-        return RadialFunction(self.k, -self.G)
+        return self._scaled(-1)
+
+    def _slopes(self) -> list:
+        """q_c per term, where G' = sum_c e^{c psi} q_c / (1 - u)^{m_c + 1}."""
+        dpsi = _pderiv(self.psi)
+        return [
+            _padd(_times_one_minus_u(_padd(_pscale(_pmul(dpsi, p), c), _pderiv(p)), 1),
+                  _pscale(p, m))
+            for c, m, p in self.terms
+        ]
 
     def d(self) -> "RadialFunction":
-        g = self.G
-        return RadialFunction(
-            self.k - 1, sp.cancel(self.k * g + _U * (1 - _U) * g.diff(_U))
-        )
+        terms = [(c, m, _padd(_pscale(p, self.k), [0] + q))
+                 for (c, m, p), q in zip(self.terms, self._slopes())]
+        return RadialFunction(self.k - 1, terms, self.psi)
 
     def dbar(self) -> "RadialFunction":
-        return RadialFunction(self.k + 1, sp.cancel((1 - _U) ** 2 * self.G.diff(_U)))
+        terms = [(c, m - 1, q) for (c, m, _), q in zip(self.terms, self._slopes())]
+        return RadialFunction(self.k + 1, terms, self.psi)
 
-    def simplified(self) -> "RadialFunction":
-        return RadialFunction(self.k, sp.cancel(sp.expand(self.G)))
+    @cached_property
+    def of_u(self) -> Callable[[np.ndarray], np.ndarray]:
+        """G compiled once to a vectorized numpy function of u."""
+        psi = _horner(self.psi)
+        expr = sp.Integer(0)
+        for c, m, p in self.terms:
+            expr += sp.exp(_rational(c) * psi) * _horner(p) / (1 - _U) ** m
+        return sp.lambdify(_U, expr, modules="numpy")
 
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized numeric evaluation at complex chart points."""
-        g = sp.lambdify(_U, self.G, modules="numpy")
+        g = self.of_u
         k = self.k
 
         def call(z):
@@ -102,74 +261,54 @@ class CompactMetric:
 
     ``psi_coeffs`` are the ascending rational coefficients of the profile
     polynomial psi(u).  psi = 0 is the Fubini-Study metric of curvature 4.
+    K, K_{;zbar zbar} and K_{;zbar zbar z z} are derived once per metric.
     """
 
     def __init__(self, psi_coeffs: Sequence = ()):
         self.psi_coeffs = tuple(Fraction(c) for c in psi_coeffs)
-        psi = sum(
-            (sp.Rational(c.numerator, c.denominator) * _U**j
-             for j, c in enumerate(self.psi_coeffs)),
-            sp.Integer(0),
-        )
-        self.psi_expr = psi
-        self.w = RadialFunction(0, (1 - _U) ** 2 * sp.exp(2 * psi))
-        self._cache = {}
-
-    def _cached(self, key, make):
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = make()
-            self._cache[key] = value
-            return value
+        # w = (1 - u)^2 e^{2 psi}: c = 2, m = -2, p = 1
+        self.w = RadialFunction(0, [(2, -2, [1])], self.psi_coeffs)
 
     # -- geometry ------------------------------------------------------------
 
-    @property
+    @cached_property
     def bbar(self) -> RadialFunction:
-        return self._cached("bbar", lambda: (self.w.dbar() / self.w).simplified())
+        return self.w.dbar() / self.w
 
-    @property
+    @cached_property
     def gauss_curvature(self) -> RadialFunction:
-        def make():
-            w = self.w
-            dw, dbw = w.d(), w.dbar()
-            ddw = dw.dbar()
-            num = w * ddw - dw * dbw
-            return (-2 * num / (w * w * w)).simplified()
-
-        return self._cached("K", make)
+        w = self.w
+        dw, dbw = w.d(), w.dbar()
+        ddw = dw.dbar()
+        num = w * ddw - dw * dbw
+        return -2 * num / (w * w * w)
 
     def covariant_zbar_zbar(self, f: RadialFunction) -> RadialFunction:
         """f_{;zbar zbar} = w^{-1} (Dbar^2 f - bbar Dbar f) for grade-0 f."""
         df = f.dbar()
         ddf = df.dbar()
-        return ((ddf - self.bbar * df) / self.w).simplified()
+        return (ddf - self.bbar * df) / self.w
 
     def raise_twice(self, fzz: RadialFunction) -> RadialFunction:
         """f_{;zbar zbar z z} = w^{-1} D(w^{-1} D(w f_{;zbar zbar}))."""
         w = self.w
         inner = (w * fzz).d() / w
-        return (inner.d() / w).simplified()
+        return inner.d() / w
 
-    @property
+    @cached_property
     def k_zbar_zbar(self) -> RadialFunction:
-        return self._cached(
-            "K2", lambda: self.covariant_zbar_zbar(self.gauss_curvature)
-        )
+        return self.covariant_zbar_zbar(self.gauss_curvature)
 
-    @property
+    @cached_property
     def k_zbar_zbar_z_z(self) -> RadialFunction:
-        return self._cached("K4", lambda: self.raise_twice(self.k_zbar_zbar))
+        return self.raise_twice(self.k_zbar_zbar)
 
     # -- bridges ---------------------------------------------------------------
 
     def radial_polynomial(self, coeffs: Sequence) -> RadialFunction:
-        poly = sum(
-            (sp.Rational(Fraction(c)) * _U**j for j, c in enumerate(coeffs)),
-            sp.Integer(0),
+        return RadialFunction(
+            0, [(0, 0, [Fraction(c) for c in coeffs])], self.psi_coeffs
         )
-        return RadialFunction(0, poly)
 
     def taylor_chart(self, order: int) -> SurfaceChart:
         """Exact Taylor expansion of the metric at the chart center.
@@ -195,8 +334,7 @@ class CompactMetric:
 
     def e2phi_positive_on_grid(self, scheme: "QuadratureScheme") -> bool:
         u_nodes, _ = _radial_rule(scheme.radial_panels)
-        g = sp.lambdify(_U, self.w.G, modules="numpy")
-        return bool(np.all(np.asarray(g(u_nodes), dtype=float) > 0.0))
+        return bool(np.all(np.asarray(self.w.of_u(u_nodes), dtype=float) > 0.0))
 
 
 @dataclass(frozen=True)
@@ -250,8 +388,7 @@ def _integral_once(integrand, metric: CompactMetric, panels: int, m_ang: int) ->
             f"non-finite integrand sample at node z = {Z[tuple(bad)]}",
             node=Z[tuple(bad)],
         )
-    g = sp.lambdify(_U, metric.w.G, modules="numpy")
-    w_u = np.asarray(g(u), dtype=float)
+    w_u = np.asarray(metric.w.of_u(u), dtype=float)
     # area element: w * (i/2) dz ^ dzbar = w * r dr dtheta,
     # r dr = du / (2 (1-u)^2)
     radial_factor = du_w * w_u / (2.0 * (1.0 - u) ** 2)
@@ -299,15 +436,17 @@ def calabi_identity_check(
         if f != "K":
             raise ValueError(f"unknown function name {f!r}")
         rf = metric.gauss_curvature
-    elif isinstance(f, RadialFunction):
-        if f.k != 0:
-            raise ValueError("f must be circle invariant (grade 0)")
-        rf = f
+        fzz = metric.k_zbar_zbar
+        pf = metric.k_zbar_zbar_z_z
     else:
-        rf = metric.radial_polynomial(f)
-
-    fzz = metric.covariant_zbar_zbar(rf)
-    pf = metric.raise_twice(fzz)
+        if isinstance(f, RadialFunction):
+            if f.k != 0:
+                raise ValueError("f must be circle invariant (grade 0)")
+            rf = f
+        else:
+            rf = metric.radial_polynomial(f)
+        fzz = metric.covariant_zbar_zbar(rf)
+        pf = metric.raise_twice(fzz)
 
     fzz_eval = fzz.evaluator()
     rf_eval = rf.evaluator()
@@ -388,7 +527,7 @@ def symbolic_numeric_gap(
     r = cartan_r(chart)
 
     w = metric.w
-    target = (-1 * (w * w * metric.k_zbar_zbar) / 12).simplified()
+    target = -1 * (w * w * metric.k_zbar_zbar) / 12
     target_eval = target.evaluator()
 
     worst = 0.0

@@ -267,10 +267,13 @@ class TruncatedSeries:
     @classmethod
     def variable(cls, name: str, order: int) -> "TruncatedSeries":
         if name == "z":
-            return cls(order, {(1, 0): GaussianRational(1)})
-        if name in ("zbar", "zb"):
-            return cls(order, {(0, 1): GaussianRational(1)})
-        raise ValueError(f"unknown variable {name!r}")
+            pair = (1, 0)
+        elif name in ("zbar", "zb"):
+            pair = (0, 1)
+        else:
+            raise ValueError(f"unknown variable {name!r}")
+        # degree 1: at order 0 it truncates to zero, as a product does
+        return cls(order, {pair: 1} if order else None)
 
     @classmethod
     def monomial(cls, k: int, l: int, value, order: int) -> "TruncatedSeries":

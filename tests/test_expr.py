@@ -97,3 +97,10 @@ def test_radial_polynomial_keeps_top_degree():
     assert parse_radial_polynomial("u^16 + (1+u)^2/(1+u)") == (
         [1, 1] + [0] * 14 + [Fraction(1)]
     )
+
+
+@pytest.mark.parametrize("text", ["z", "zb", "z*zb", "3*z/2", "zb^2"])
+def test_variables_truncate_at_order_zero(text):
+    # a variable has degree 1, so at order 0 it truncates as a product does
+    assert parse_expression(text, 0) == TruncatedSeries.zero(0)
+    assert parse_expression(f"2 + {text}", 0) == TruncatedSeries.constant(2, 0)

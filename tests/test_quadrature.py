@@ -1,9 +1,11 @@
 """Quadrature layer: areas, integration-by-parts identity, rigidity demo."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from cartanq.errors import QuadratureEvaluationError
 from cartanq.quadrature import (
@@ -153,3 +155,138 @@ def test_taylor_chart_matches_closed_form():
 def test_symbolic_numeric_gap():
     for metric in (FS, BUMP, QUAD):
         assert symbolic_numeric_gap(metric) < 1e-6
+
+
+# -- closed form ------------------------------------------------------------------------
+
+_z, _zb, _T = sp.symbols("z zb T")
+_U = _z * _zb / (1 + _z * _zb)
+
+
+def _in_u(coeffs):
+    return sum((sp.Rational(a.numerator, a.denominator) * _U**j
+                for j, a in enumerate(coeffs)), sp.Integer(0))
+
+
+def _oracle(metric, f_coeffs):
+    """K, K_{;zbar zbar}, K_{;zbar zbar z z}, f_{;zbar zbar} and f_{;zbar zbar z z}
+    straight from w = (1-u)^2 e^{2 psi} in z and zbar, by sp.diff.  T stands for
+    e^{psi(u)}, so each quantity is a rational function of z, zbar and T."""
+    psi = _in_u(metric.psi_coeffs)
+    E = _T if any(metric.psi_coeffs) else sp.Integer(1)
+    dpsi = {v: sp.diff(psi, v) for v in (_z, _zb)}
+
+    def der(e, v):
+        return sp.cancel(sp.diff(e, v) + sp.diff(e, _T) * _T * dpsi[v])
+
+    w = (1 - _U) ** 2 * E**2
+    log_w_zbar = der(w, _zb) / w
+    K = sp.cancel(-2 * der(log_w_zbar, _z) / w)  # -(2/w) d dbar log w
+
+    def zbar_zbar(f):
+        df = der(f, _zb)
+        return sp.cancel((der(df, _zb) - log_w_zbar * df) / w)
+
+    def z_z(fzz):
+        return sp.cancel(der(der(w * fzz, _z) / w, _z) / w)
+
+    f = _in_u(f_coeffs)
+    k2, f2 = zbar_zbar(K), zbar_zbar(f)
+    return [K, k2, z_z(k2), f2, z_z(f2)]
+
+
+def _as_sympy(rf, metric):
+    """z^k sum_c T^c p_c(u) / (1-u)^m_c, T as in the oracle."""
+    E = _T if any(metric.psi_coeffs) else sp.Integer(1)
+    return _z**rf.k * sum(
+        (E ** sp.Rational(c.numerator, c.denominator) * _in_u(p) / (1 - _U) ** m
+         for c, m, p in rf.terms),
+        sp.Integer(0),
+    )
+
+
+def _seeded_profile(seed):
+    """psi of degree 1 + seed % 3, its constant term included, and a polynomial f."""
+    rng = random.Random(f"oracle/{seed}")
+
+    def rational():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(2, 10))
+
+    psi = [rational() for _ in range(2 + seed % 3)]
+    return CompactMetric(psi), [rational() for _ in range(3)]
+
+
+ORACLE_CASES = {
+    "FS": (FS, [0, 1]),
+    "BUMP": (BUMP, [1, Fraction(-1, 2), 2]),
+    "QUAD": (QUAD, [Fraction(1, 3), 0, -1]),
+    "constant_psi": (CompactMetric([Fraction(1, 2)]), [0, 1]),
+    **{f"seed{seed}": _seeded_profile(seed) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_closed_form_matches_sympy_oracle_exactly(name):
+    metric, f_coeffs = ORACLE_CASES[name]
+    f = metric.radial_polynomial(f_coeffs)
+    f2 = metric.covariant_zbar_zbar(f)
+    mine = [metric.gauss_curvature, metric.k_zbar_zbar, metric.k_zbar_zbar_z_z,
+            f2, metric.raise_twice(f2)]
+    for quantity, expected in zip(mine, _oracle(metric, f_coeffs)):
+        assert sp.cancel(_as_sympy(quantity, metric) - expected) == 0
+
+
+def test_closed_form_curvature_of_fubini_study():
+    assert FS.gauss_curvature == FS.radial_polynomial([4])
+    assert FS.k_zbar_zbar.terms == () and FS.k_zbar_zbar_z_z.terms == ()
+    assert BUMP.k_zbar_zbar.terms != ()
+
+
+def test_closed_form_is_canonical():
+    psi = BUMP.psi_coeffs
+    # (1-u) / (1-u)^0 is 1 / (1-u)^-1
+    assert RadialFunction(0, [(0, 0, [1, -1])], psi) == RadialFunction(0, [(0, -1, [1])], psi)
+    assert (BUMP.w - BUMP.w).terms == ()
+    assert BUMP.w / BUMP.w == BUMP.radial_polynomial([1])
+    assert BUMP.w * BUMP.w / BUMP.w == BUMP.w
+    with pytest.raises(ValueError):
+        BUMP.w / (BUMP.w + BUMP.w * BUMP.w)  # two values of c
+    with pytest.raises(ValueError):
+        BUMP.w / BUMP.radial_polynomial([1, 1])  # a non-constant polynomial
+    with pytest.raises(ValueError):
+        BUMP.w * FS.w  # different profiles
+
+
+def test_quadrature_cost_is_bounded(monkeypatch):
+    """No sympy algebra, K_{;zbar zbar} derived once, each evaluated function
+    compiled once, over the operations of one quadrature-check."""
+    algebra = []
+    for name in ("cancel", "expand", "simplify"):
+        monkeypatch.setattr(sp, name, lambda *a, name=name, **kw: algebra.append(name))
+    compiled = []
+    lambdify = sp.lambdify
+
+    def counted_lambdify(args, expr, *rest, **kw):
+        compiled.append(expr)
+        return lambdify(args, expr, *rest, **kw)
+
+    monkeypatch.setattr(sp, "lambdify", counted_lambdify)
+    derived = []
+    covariant = CompactMetric.covariant_zbar_zbar
+
+    def counted_covariant(self, f):
+        derived.append(f)
+        return covariant(self, f)
+
+    monkeypatch.setattr(CompactMetric, "covariant_zbar_zbar", counted_covariant)
+
+    metric = CompactMetric(BUMP.psi_coeffs)
+    metric.k_zbar_zbar_z_z
+    calabi_identity_check("K", metric, SCHEME)
+    calabi_identity_check([1, Fraction(-1, 2), 2], metric, SCHEME)
+    rigidity_demo(metric, SCHEME)
+
+    assert algebra == []
+    assert derived.count(metric.gauss_curvature) == 1 and len(derived) == 2
+    # w, K, K_{;zbar zbar}, K_{;zbar zbar z z}, f and its two derivatives
+    assert len(compiled) == len(set(compiled)) <= 7
