@@ -153,8 +153,11 @@ def _load_series(args) -> TruncatedSeries:
     return series.truncated(min(args.order, series.order))
 
 
-def _build_chart(args):
-    """Returns (chart, rigid_surface_or_None, input echo)."""
+def _build_chart(args, need: int):
+    """Returns (chart, rigid_surface_or_None, input echo).  ``need`` is the
+    lowest chart order the subcommand can differentiate down to; the chart of
+    a rigid_defining_F or line_bundle_metric_h input is two orders below its
+    series."""
     if args.order < 4:
         raise CartanQError(f"--order must be at least 4, got {args.order}")
     series = _load_series(args)
@@ -164,12 +167,20 @@ def _build_chart(args):
         # the effective order: a coefficient file may hold fewer terms than --order
         "order": series.order,
     }
+    surface = None
     if args.input_kind == "line_bundle_metric_h":
-        return phi_from_line_bundle_metric(series), None, echo
-    if args.input_kind == "conformal_factor_e2phi":
-        return SurfaceChart(series), None, echo
-    surface = RigidSurface(series)
-    return surface.chart, surface, echo
+        chart = phi_from_line_bundle_metric(series)
+    elif args.input_kind == "conformal_factor_e2phi":
+        chart = SurfaceChart(series)
+    else:
+        surface = RigidSurface(series)
+        chart = surface.chart
+    if chart.order < need:
+        raise CartanQError(
+            f"{args.command} needs a chart of order at least {need}, "
+            f"and this input gives a chart of order {chart.order}"
+        )
+    return chart, surface, echo
 
 
 # -- report assembly -----------------------------------------------------------------
@@ -271,7 +282,7 @@ def _verdict_json(verdict) -> dict:
 
 
 def _cmd_curvature(args) -> int:
-    chart, _, echo = _build_chart(args)
+    chart, _, echo = _build_chart(args, 2)
     pchart = PseudohermitianChart(chart)
     K = gauss_curvature(chart)
     R = scalar_curvature_R(pchart)
@@ -287,7 +298,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    chart, surface, echo = _build_chart(args)
+    chart, surface, echo = _build_chart(args, 6)
     pchart = PseudohermitianChart(chart)
     K = gauss_curvature(chart)
     R = scalar_curvature_R(pchart)
@@ -325,7 +336,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_sphericity(args) -> int:
-    chart, _, echo = _build_chart(args)
+    chart, _, echo = _build_chart(args, 4)
     r = cartan_r(chart)
     order = r.order if args.verify_order is None else min(args.verify_order, r.order)
     return _report(args, echo, series={"r": r},
@@ -359,7 +370,7 @@ def _cmd_verify_identities(args) -> int:
         },
     }
     if has_input:
-        chart, _, echo = _build_chart(args)
+        chart, _, echo = _build_chart(args, 6)
         pchart = PseudohermitianChart(chart)
         residuals.update(_chart_residuals(pchart))
         residuals.update(_weight3_entries(pchart))
@@ -386,8 +397,6 @@ def _cmd_quadrature(args) -> int:
         angular_nodes=args.angular_nodes,
         rel_tolerance=args.tolerance,
     )
-    if not metric.e2phi_positive_on_grid(scheme):
-        raise CartanQError("e^{2phi} is not positive on the quadrature grid")
 
     area, area_err = integrate_surface(
         lambda z: np.ones(z.shape), metric, scheme

@@ -12,14 +12,14 @@ G univariate; differentiation closes on that form:
     D    (z^k G) = z^(k-1) (k G + u (1 - u) G')
     Dbar (z^k G) = z^(k+1) (1 - u)^2 G'
 
-Since w = e^{2phi} = (1 - u)^2 e^{2 psi} and the only divisions are by powers
-of w, every G is a closed form
+Since w = e^{2phi} = (1 - u)^2 e^{2 psi} has weight c = 2 and the only
+divisions are by powers of w, every G is one weighted term
 
-    G = sum_c e^{c psi(u)} p_c(u) / (1 - u)^{m_c},    p_c in Q[u],
+    G = e^{c psi(u)} p(u) / (1 - u)^m,    p in Q[u],
 
-    G' = sum_c e^{c psi} (1 - u)^{-m_c - 1} [(c psi' p_c + p_c') (1 - u) + m_c p_c],
+    G' = e^{c psi} (1 - u)^{-m - 1} [(c psi' p + p') (1 - u) + m p],
 
-kept exactly as Fraction coefficient lists.  sympy only generates code: each
+kept exactly as a Fraction coefficient list.  sympy only generates code: each
 evaluated G is lambdified once, so grid evaluation is vectorized numpy.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import QuadratureEvaluationError
-from .series import TruncatedSeries, exp_series, reciprocal
+from .series import TruncatedSeries, exp_series
 from .surface import SurfaceChart
 
 _U = sp.Symbol("u", nonnegative=True)
@@ -87,37 +87,19 @@ def _pderiv(p) -> list:
     return [j * a for j, a in enumerate(p)][1:]
 
 
-def _times_one_minus_u(p: list, n: int) -> list:
+def _times_one_minus_u(p, n: int) -> list:
+    p = list(p)
     for _ in range(n):
         p = [a - b for a, b in zip(p + [0], [0] + p)]
     return p
 
 
-def _canonical(terms, merge: bool) -> tuple:
-    """One (c, m, p) per c, in ascending c, with p nonzero and p(1) != 0.
-
-    ``merge`` puts every term at c = 0, which is exact when psi = 0.
-    """
-    groups = {}
-    for c, m, p in terms:
-        p = _trim(p)
-        if p:
-            groups.setdefault(0 if merge else c, []).append((m, p))
-    out = []
-    for c in sorted(groups):
-        parts = groups[c]
-        m = max(mj for mj, _ in parts)
-        p = []
-        for mj, pj in parts:
-            p = _padd(p, _times_one_minus_u(pj, m - mj))
-        p = _trim(p)
-        while p and not sum(p):
-            # p = (1 - u) q with q_j = p_0 + ... + p_j
-            p = list(accumulate(p))[:-1]
-            m -= 1
-        if p:
-            out.append((c, m, tuple(p)))
-    return tuple(out)
+def _binomial(m: int, n: int) -> list:
+    """(1 + rho)^m to degree n in rho, for any integer m."""
+    out = [Fraction(1)]
+    for j in range(n):
+        out.append(out[-1] * (m - j) / (j + 1))
+    return out[: n + 1]
 
 
 def _rational(a) -> sp.Rational:
@@ -133,47 +115,49 @@ def _horner(p) -> sp.Expr:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """The chart function z^k * sum_c e^{c psi(u)} p_c(u) / (1 - u)^{m_c}.
+    """The chart function z^k e^{c psi(u)} p(u) / (1 - u)^m.
 
-    ``terms`` holds the triples (c, m_c, p_c), p_c the ascending rational
-    coefficients of a polynomial; ``psi`` holds those of the profile.  The
-    constructor brings them to canonical form: one term per c, no factor
-    (1 - u) left in p_c, and every c merged to 0 when psi = 0.  For any other
-    psi, constant or not, the e^{c psi} with distinct c are linearly
-    independent over Q(u) (Lindemann-Weierstrass when psi is constant), so
-    == is structural and the zero function is the one without terms.
+    ``p`` holds the ascending rational coefficients of a polynomial and
+    ``psi`` those of the profile.  The constructor brings them to canonical
+    form: no factor (1 - u) left in p, c = 0 when psi = 0, and the zero
+    function is p = () with c = m = 0.  For any other psi, constant or not,
+    e^{c psi} with c != 0 is not in Q(u) (Lindemann-Weierstrass when psi is
+    constant), so == is structural and the value is zero exactly when p is
+    empty.
     """
 
     k: int
-    terms: tuple = ()
+    c: Fraction = Fraction(0)
+    m: int = 0
+    p: tuple = ()
     psi: tuple = ()
 
     def __post_init__(self):
-        psi = tuple(_trim(self.psi))
-        try:
-            terms = _canonical(self.terms, not psi)
-        except TypeError:
-            raise ValueError("terms must be (c, m, p) triples, p a list") from None
+        psi, p, m = tuple(_trim(self.psi)), _trim(self.p), self.m
+        while p and not sum(p):
+            # p = (1 - u) q with q_j = p_0 + ... + p_j
+            p = list(accumulate(p))[:-1]
+            m -= 1
+        c = Fraction(self.c) if p and psi else Fraction(0)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "m", m if p else 0)
+        object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "terms", terms)
 
     def _check_profile(self, other: "RadialFunction"):
         if other.psi != self.psi:
             raise ValueError("radial functions of different profiles psi")
 
-    def _scaled(self, s) -> "RadialFunction":
-        return RadialFunction(
-            self.k, [(c, m, _pscale(p, s)) for c, m, p in self.terms], self.psi
-        )
+    def _with(self, k: int, c, m: int, p) -> "RadialFunction":
+        return RadialFunction(k, c, m, p, self.psi)
 
     def __mul__(self, other):
         if isinstance(other, RadialFunction):
             self._check_profile(other)
-            terms = [(c1 + c2, m1 + m2, _pmul(p1, p2))
-                     for c1, m1, p1 in self.terms for c2, m2, p2 in other.terms]
-            return RadialFunction(self.k + other.k, terms, self.psi)
+            return self._with(self.k + other.k, self.c + other.c, self.m + other.m,
+                              _pmul(self.p, other.p))
         if isinstance(other, Rational):
-            return self._scaled(Fraction(other))
+            return self._with(self.k, self.c, self.m, _pscale(self.p, Fraction(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -181,77 +165,96 @@ class RadialFunction:
     def __truediv__(self, other):
         if isinstance(other, RadialFunction):
             self._check_profile(other)
-            if len(other.terms) != 1 or len(other.terms[0][2]) != 1:
+            if len(other.p) != 1:
                 raise ValueError(
-                    "can only divide by a single term e^{c psi} a (1-u)^m, "
-                    "such as a power of w"
+                    "can only divide by e^{c psi} a (1-u)^m with a a nonzero "
+                    "constant, such as a power of w"
                 )
-            (c, m, (a,)), = other.terms
-            inv = 1 / Fraction(a)
-            terms = [(cj - c, mj - m, _pscale(pj, inv)) for cj, mj, pj in self.terms]
-            return RadialFunction(self.k - other.k, terms, self.psi)
+            return self._with(self.k - other.k, self.c - other.c, self.m - other.m,
+                              _pscale(self.p, 1 / Fraction(other.p[0])))
         if isinstance(other, Rational):
-            return self._scaled(1 / Fraction(other))
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __add__(self, other):
         if not isinstance(other, RadialFunction) or other.k != self.k:
             raise ValueError("can only add radial functions of equal z-grade")
         self._check_profile(other)
-        return RadialFunction(self.k, self.terms + other.terms, self.psi)
+        if not other.p:
+            return self
+        if not self.p:
+            return other
+        if other.c != self.c:
+            raise ValueError("can only add radial functions of equal weight c")
+        m = max(self.m, other.m)
+        p = _padd(_times_one_minus_u(self.p, m - self.m),
+                  _times_one_minus_u(other.p, m - other.m))
+        return self._with(self.k, self.c, m, p)
 
     def __sub__(self, other):
-        if not isinstance(other, RadialFunction) or other.k != self.k:
+        if not isinstance(other, RadialFunction):
             raise ValueError("can only subtract radial functions of equal z-grade")
         return self + (-other)
 
     def __neg__(self):
-        return self._scaled(-1)
+        return self * -1
 
-    def _slopes(self) -> list:
-        """q_c per term, where G' = sum_c e^{c psi} q_c / (1 - u)^{m_c + 1}."""
-        dpsi = _pderiv(self.psi)
-        return [
-            _padd(_times_one_minus_u(_padd(_pscale(_pmul(dpsi, p), c), _pderiv(p)), 1),
-                  _pscale(p, m))
-            for c, m, p in self.terms
-        ]
+    def _slope(self) -> list:
+        """q, where G' = e^{c psi} q / (1 - u)^(m + 1)."""
+        cp = _pscale(_pmul(_pderiv(self.psi), self.p), self.c)
+        return _padd(_times_one_minus_u(_padd(cp, _pderiv(self.p)), 1),
+                     _pscale(self.p, self.m))
 
     def d(self) -> "RadialFunction":
-        terms = [(c, m, _padd(_pscale(p, self.k), [0] + q))
-                 for (c, m, p), q in zip(self.terms, self._slopes())]
-        return RadialFunction(self.k - 1, terms, self.psi)
+        p = _padd(_pscale(self.p, self.k), [0] + self._slope())
+        return self._with(self.k - 1, self.c, self.m, p)
 
     def dbar(self) -> "RadialFunction":
-        terms = [(c, m - 1, q) for (c, m, _), q in zip(self.terms, self._slopes())]
-        return RadialFunction(self.k + 1, terms, self.psi)
+        return self._with(self.k + 1, self.c, self.m - 1, self._slope())
+
+    def taylor(self, order: int) -> TruncatedSeries:
+        """The exact series at the chart center of this value divided by
+        e^{c psi(0)}, a constant that is irrational in general.
+
+        With rho = z zbar, u = rho / (1 + rho) and 1 / (1 - u) = 1 + rho, the
+        quotient is z^k p(u) (1 + rho)^m e^{c (psi(u) - psi(0))}: a power
+        series in rho alone, times the exponential when c != 0 and psi is
+        not constant.
+        """
+        n = order // 2  # rho^j has total degree 2j
+        u = [0] + _binomial(-1, n - 1)
+
+        def in_rho(q, size: int) -> list:
+            out = []
+            for a in reversed(q):
+                out = _padd(_pmul(out, u), [a])[:size]
+            return out
+
+        size = max(0, (order - self.k) // 2 + 1)  # z^k rho^j has total degree k + 2j
+        part = _pmul(in_rho(self.p, size), _binomial(self.m, size - 1))[:size]
+        series = TruncatedSeries(order, {(self.k + j, j): a for j, a in enumerate(part)})
+        if self.c and len(self.psi) > 1:
+            rel = in_rho((0,) + self.psi[1:], n + 1)
+            series = series * exp_series(
+                TruncatedSeries(order, {(j, j): self.c * a for j, a in enumerate(rel)})
+            )
+        return series
 
     @cached_property
     def of_u(self) -> Callable[[np.ndarray], np.ndarray]:
         """G compiled once to a vectorized numpy function of u."""
-        psi = _horner(self.psi)
-        expr = sp.Integer(0)
-        for c, m, p in self.terms:
-            expr += sp.exp(_rational(c) * psi) * _horner(p) / (1 - _U) ** m
+        expr = (sp.exp(_rational(self.c) * _horner(self.psi)) * _horner(self.p)
+                / (1 - _U) ** self.m)
         return sp.lambdify(_U, expr, modules="numpy")
 
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized numeric evaluation at complex chart points."""
-        g = self.of_u
-        k = self.k
+        g, k = self.of_u, self.k
 
         def call(z):
             z = np.asarray(z, dtype=complex)
             rho = (z * z.conjugate()).real
-            u = rho / (1.0 + rho)
-            gu = np.asarray(g(u), dtype=complex)
-            gu = np.broadcast_to(gu, u.shape)
-            if k == 0:
-                return gu
-            if k > 0:
-                return z**k * gu
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return gu / z ** (-k)
+            return g(rho / (1.0 + rho)) * z**k
 
         return call
 
@@ -267,7 +270,7 @@ class CompactMetric:
     def __init__(self, psi_coeffs: Sequence = ()):
         self.psi_coeffs = tuple(Fraction(c) for c in psi_coeffs)
         # w = (1 - u)^2 e^{2 psi}: c = 2, m = -2, p = 1
-        self.w = RadialFunction(0, [(2, -2, [1])], self.psi_coeffs)
+        self.w = RadialFunction(0, 2, -2, [1], self.psi_coeffs)
 
     # -- geometry ------------------------------------------------------------
 
@@ -306,9 +309,7 @@ class CompactMetric:
     # -- bridges ---------------------------------------------------------------
 
     def radial_polynomial(self, coeffs: Sequence) -> RadialFunction:
-        return RadialFunction(
-            0, [(0, 0, [Fraction(c) for c in coeffs])], self.psi_coeffs
-        )
+        return RadialFunction(0, 0, 0, [Fraction(c) for c in coeffs], self.psi_coeffs)
 
     def taylor_chart(self, order: int) -> SurfaceChart:
         """Exact Taylor expansion of the metric at the chart center.
@@ -317,24 +318,7 @@ class CompactMetric:
         dropped; every identity and sphericity quantity downstream is
         invariant under constant rescaling of e^{2phi}.
         """
-        rho = TruncatedSeries.monomial(1, 1, 1, order)
-        one = TruncatedSeries.constant(1, order)
-        inv = reciprocal(one + rho)
-        u_series = rho * inv
-        psi_rel = TruncatedSeries.zero(order)
-        power = one
-        for j, c in enumerate(self.psi_coeffs):
-            if j == 0:
-                continue
-            power = power * u_series if j > 1 else u_series
-            if c:
-                psi_rel = psi_rel + power * c
-        e2phi = inv * inv * exp_series(psi_rel * 2)
-        return SurfaceChart(e2phi, provenance="direct")
-
-    def e2phi_positive_on_grid(self, scheme: "QuadratureScheme") -> bool:
-        u_nodes, _ = _radial_rule(scheme.radial_panels)
-        return bool(np.all(np.asarray(self.w.of_u(u_nodes), dtype=float) > 0.0))
+        return SurfaceChart(self.w.taylor(order))
 
 
 @dataclass(frozen=True)
@@ -376,25 +360,36 @@ def _radial_rule(panels: int):
 
 
 def _integral_once(integrand, metric: CompactMetric, panels: int, m_ang: int) -> float:
+    """One pass of the rule.  w must be finite and positive at every node, and
+    every integrand sample, weighted contribution and their sum finite: a
+    profile whose values leave the float range ends in one error, not in NaN
+    or inf."""
     u, du_w = _radial_rule(panels)
     theta = 2.0 * np.pi * np.arange(m_ang) / m_ang
     r = np.sqrt(u / (1.0 - u))
     Z = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.asarray(integrand(Z), dtype=complex)
-    vals = np.broadcast_to(vals, Z.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise QuadratureEvaluationError(
-            f"non-finite integrand sample at node z = {Z[tuple(bad)]}",
-            node=Z[tuple(bad)],
-        )
-    w_u = np.asarray(metric.w.of_u(u), dtype=float)
-    # area element: w * (i/2) dz ^ dzbar = w * r dr dtheta,
-    # r dr = du / (2 (1-u)^2)
-    radial_factor = du_w * w_u / (2.0 * (1.0 - u) ** 2)
-    angular_factor = 2.0 * np.pi / m_ang
-    contrib = vals.real * radial_factor[:, None] * angular_factor
-    return float(np.sum(contrib))
+
+    def require(ok, what):
+        if not np.all(ok):
+            node = Z[tuple(np.argwhere(~np.broadcast_to(ok, Z.shape))[0])]
+            raise QuadratureEvaluationError(f"{what} at node z = {node}", node=node)
+
+    with np.errstate(all="ignore"):
+        w_u = np.asarray(metric.w.of_u(u), dtype=float)
+        require((np.isfinite(w_u) & (w_u > 0.0))[:, None],
+                "e^{2phi} is not finite and positive")
+        vals = np.asarray(integrand(Z), dtype=complex)
+        require(np.isfinite(vals), "non-finite integrand sample")
+        # area element: w * (i/2) dz ^ dzbar = w * r dr dtheta,
+        # r dr = du / (2 (1-u)^2)
+        radial_factor = du_w * w_u / (2.0 * (1.0 - u) ** 2)
+        angular_factor = 2.0 * np.pi / m_ang
+        contrib = vals.real * radial_factor[:, None] * angular_factor
+        total = float(np.sum(contrib))
+    if not np.isfinite(total):  # a contribution is not finite, or the sum overflows
+        require(np.isfinite(contrib), "non-finite weighted integrand")
+        raise QuadratureEvaluationError(f"the weighted integrand sums to {total}")
+    return total
 
 
 def integrate_surface(integrand, metric: CompactMetric, scheme: QuadratureScheme):
@@ -514,27 +509,3 @@ def rigidity_demo(
         numeric_spherical=numeric_spherical,
         symbolic_spherical=verdict.spherical,
     )
-
-
-def symbolic_numeric_gap(
-    metric: CompactMetric, order: int = 20, radius: float = 0.25, samples: int = 8
-) -> float:
-    """Max relative gap between the exact r-series of the Taylor-expanded
-    metric and the numeric -(e^{4phi}/12) K_{;zbar zbar} on |z| <= radius."""
-    from .surface import cartan_r
-
-    chart = metric.taylor_chart(order)
-    r = cartan_r(chart)
-
-    w = metric.w
-    target = -1 * (w * w * metric.k_zbar_zbar) / 12
-    target_eval = target.evaluator()
-
-    worst = 0.0
-    for j in range(samples):
-        z = radius * (0.3 + 0.7 * j / samples) * np.exp(2j * np.pi * (j + 0.3) / samples)
-        sym = r.evaluate(complex(z))
-        num = complex(target_eval(np.array([z]))[0])
-        scale = max(abs(sym), abs(num), 1e-12)
-        worst = max(worst, abs(sym - num) / scale)
-    return worst

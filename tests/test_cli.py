@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,6 +254,56 @@ def test_flag_a_subcommand_would_ignore_exits_1(capsys, argv):
     truncate, is a usage error rather than a no-op."""
     code, out, errors = run_rejected(capsys, argv)
     assert (code, out, len(errors)) == (1, "", 1)
+
+
+_LH = "exp(-z*zb - z^2*zb^2/7)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[(command, "--input-kind", "conformal_factor_e2phi", "--expr", "1+z*zb",
+           "--order", order)
+          for command in ("invariants", "verify-identities") for order in ("4", "5")],
+        *[(command, "--input-kind", kind, "--expr", expr, "--order", order)
+          for command in ("invariants", "verify-identities")
+          for kind, expr in (("rigid_defining_F", F44), ("line_bundle_metric_h", _LH))
+          for order in ("6", "7")],
+        *[("sphericity", "--input-kind", kind, "--expr", expr, "--order", order)
+          for kind, expr in (("rigid_defining_F", F44), ("line_bundle_metric_h", _LH))
+          for order in ("4", "5")],
+    ],
+)
+def test_chart_order_below_what_the_subcommand_needs_exits_1(capsys, argv):
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, len(errors)) == (1, "", 1)
+    need = "4" if argv[0] == "sphericity" else "6"
+    assert f"{argv[0]} needs a chart of order at least {need}" in errors[0]
+
+
+@pytest.mark.parametrize("psi", ["400*u", "-90*u", "-400*u"])
+def test_profile_outside_the_float_range_exits_1(psi):
+    """e^{2phi} overflows (400 u) or underflows (-400 u), or K_{;zbar zbar}
+    does (-90 u): one `error:` line and no numpy warning on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "cartanq.cli", "quadrature-check", f"--expr={psi}"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+
+
+def test_unresolved_quadrature_exits_2_until_refined(capsys):
+    code, _ = run(capsys, "quadrature-check", "--expr", "100*u")
+    assert code == 2
+    code, _ = run(capsys, "quadrature-check", "--expr", "100*u", "--radial-panels", "16")
+    assert code == 0
 
 
 def test_exit_code_2_on_identity_violation(capsys, monkeypatch):

@@ -15,8 +15,8 @@ from cartanq.quadrature import (
     calabi_identity_check,
     integrate_surface,
     rigidity_demo,
-    symbolic_numeric_gap,
 )
+from cartanq.surface import cartan_r, cartan_s
 from fractions import Fraction
 
 FS = CompactMetric()  # psi = 0: Fubini-Study, curvature 4
@@ -60,9 +60,18 @@ def test_non_finite_integrand_reports_node():
     assert err.value.node is not None
 
 
-def test_positivity_on_grid():
+def test_float_range_is_checked():
     for metric in (FS, BUMP, QUAD):
-        assert metric.e2phi_positive_on_grid(SCHEME)
+        area, _ = integrate_surface(ones, metric, SCHEME)
+        assert 0 < area < math.inf
+    # e^{2phi} overflows near u = 1 for 400 u and underflows to 0 for -400 u
+    for slope in (400, -400):
+        with pytest.raises(QuadratureEvaluationError) as err:
+            integrate_surface(ones, CompactMetric([0, slope]), SCHEME)
+        assert err.value.node is not None
+    # every sample and contribution is finite, but the area integral is pi * 1e308
+    with pytest.raises(QuadratureEvaluationError):
+        integrate_surface(lambda z: np.full(z.shape, 1e308), FS, SCHEME)
 
 
 # -- Calabi identity corpus ------------------------------------------------------------
@@ -152,11 +161,6 @@ def test_taylor_chart_matches_closed_form():
         assert chart.e2phi.coeff(j, j).re == (-1) ** j * (j + 1)
 
 
-def test_symbolic_numeric_gap():
-    for metric in (FS, BUMP, QUAD):
-        assert symbolic_numeric_gap(metric) < 1e-6
-
-
 # -- closed form ------------------------------------------------------------------------
 
 _z, _zb, _T = sp.symbols("z zb T")
@@ -196,13 +200,10 @@ def _oracle(metric, f_coeffs):
 
 
 def _as_sympy(rf, metric):
-    """z^k sum_c T^c p_c(u) / (1-u)^m_c, T as in the oracle."""
+    """z^k T^c p(u) / (1-u)^m, T as in the oracle."""
     E = _T if any(metric.psi_coeffs) else sp.Integer(1)
-    return _z**rf.k * sum(
-        (E ** sp.Rational(c.numerator, c.denominator) * _in_u(p) / (1 - _U) ** m
-         for c, m, p in rf.terms),
-        sp.Integer(0),
-    )
+    c = sp.Rational(rf.c.numerator, rf.c.denominator)
+    return _z**rf.k * E**c * _in_u(rf.p) / (1 - _U) ** rf.m
 
 
 def _seeded_profile(seed):
@@ -236,21 +237,37 @@ def test_closed_form_matches_sympy_oracle_exactly(name):
         assert sp.cancel(_as_sympy(quantity, metric) - expected) == 0
 
 
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_exact_bridge_to_the_series_pipeline(name):
+    """r = -w^2 K_{;zbar zbar} / 12 and s = -w^3 K_{;zbar zbar z z} / 12 have
+    weight 0, so their closed forms expand to exactly the r and s of the
+    Taylor chart."""
+    metric, _ = ORACLE_CASES[name]
+    chart = metric.taylor_chart(14)
+    w = metric.w
+    r, s = cartan_r(chart), cartan_s(chart)
+    assert r == (w * w * metric.k_zbar_zbar / -12).taylor(r.order)
+    assert s == (w * w * w * metric.k_zbar_zbar_z_z / -12).taylor(s.order)
+
+
 def test_closed_form_curvature_of_fubini_study():
     assert FS.gauss_curvature == FS.radial_polynomial([4])
-    assert FS.k_zbar_zbar.terms == () and FS.k_zbar_zbar_z_z.terms == ()
-    assert BUMP.k_zbar_zbar.terms != ()
+    assert FS.k_zbar_zbar.p == () and FS.k_zbar_zbar_z_z.p == ()
+    assert BUMP.k_zbar_zbar.p != ()
 
 
 def test_closed_form_is_canonical():
     psi = BUMP.psi_coeffs
     # (1-u) / (1-u)^0 is 1 / (1-u)^-1
-    assert RadialFunction(0, [(0, 0, [1, -1])], psi) == RadialFunction(0, [(0, -1, [1])], psi)
-    assert (BUMP.w - BUMP.w).terms == ()
+    assert RadialFunction(0, 0, 0, [1, -1], psi) == RadialFunction(0, 0, -1, [1], psi)
+    zero = BUMP.w - BUMP.w
+    assert (zero.c, zero.m, zero.p) == (0, 0, ())
+    assert BUMP.w + zero == zero + BUMP.w == BUMP.w  # zero has any weight
+    assert FS.w.c == 0 and BUMP.w.c == 2  # psi = 0 merges every weight to 0
     assert BUMP.w / BUMP.w == BUMP.radial_polynomial([1])
     assert BUMP.w * BUMP.w / BUMP.w == BUMP.w
     with pytest.raises(ValueError):
-        BUMP.w / (BUMP.w + BUMP.w * BUMP.w)  # two values of c
+        BUMP.w + BUMP.w * BUMP.w  # two weights c
     with pytest.raises(ValueError):
         BUMP.w / BUMP.radial_polynomial([1, 1])  # a non-constant polynomial
     with pytest.raises(ValueError):
