@@ -50,8 +50,9 @@ SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defini
 
 # Cost caps.  invariants on the 8-term polynomial e^{2phi} of README takes
 # 0.18 / 0.74 / 2.7 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  The
-# fine quadrature pass holds a (32 * panels) x (2 * nodes) complex array, 64 MB
-# at the caps.
+# fine pass of the chart-area integral holds a (32 * panels) x (2 * nodes)
+# complex array, 64 MB at the caps; the Calabi and rigidity integrals are
+# evaluated on the 32 * panels radial nodes only.
 MAX_ORDER = 64
 MAX_RADIAL_PANELS = 32
 MAX_ANGULAR_NODES = 2048
@@ -528,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default 4)")
     sub.add_argument("--angular-nodes", type=_int_in(16, MAX_ANGULAR_NODES),
                      default=128,
-                     help=f"trapezoid nodes in angle, 16 to {MAX_ANGULAR_NODES} "
-                     "(default 128)")
+                     help=f"trapezoid nodes in angle of the chart-area integral, 16 to "
+                     f"{MAX_ANGULAR_NODES} (default 128)")
     sub.add_argument("--tolerance", type=_positive_float, default=1e-6,
                      help="relative tolerance of the Calabi identities (finite, > 0)")
     sub.set_defaults(func=_cmd_quadrature)

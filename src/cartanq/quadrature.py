@@ -20,7 +20,15 @@ divisions are by powers of w, every G is one weighted term
     G' = e^{c psi} (1 - u)^{-m - 1} [(c psi' p + p') (1 - u) + m p],
 
 kept exactly as a Fraction coefficient list.  sympy only generates code: each
-evaluated G is lambdified once, so grid evaluation is vectorized numpy.
+evaluated G is lambdified once, so evaluation is vectorized numpy.
+
+Area integrals use composite 16-point Gauss-Legendre in u and the trapezoid
+rule in angle: each row of the grid is averaged in angle, then the radial rule
+weights the row averages.  Every integrand of the Calabi identity and of the
+rigidity demo, |f_{;zbar zbar}|^2 and f_{;zbar zbar z z} f, has grade 0 and so
+is constant on each circle |z| = r; the trapezoid rule is exact on it, so it is
+evaluated once per radial node.  Only a general callable, such as the chart
+area's integrand, is evaluated on the full grid.
 """
 
 from __future__ import annotations
@@ -248,13 +256,15 @@ class RadialFunction:
         return sp.lambdify(_U, expr, modules="numpy")
 
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized numeric evaluation at complex chart points."""
+        """Vectorized numeric evaluation at complex chart points.  A grade-0
+        function returns the real G(u) as a read-only array."""
         g, k = self.of_u, self.k
 
         def call(z):
             z = np.asarray(z, dtype=complex)
             rho = (z * z.conjugate()).real
-            return g(rho / (1.0 + rho)) * z**k
+            g_u = g(rho / (1.0 + rho))
+            return g_u * z**k if k else np.broadcast_to(np.asarray(g_u, float), rho.shape)
 
         return call
 
@@ -264,13 +274,15 @@ class CompactMetric:
 
     ``psi_coeffs`` are the ascending rational coefficients of the profile
     polynomial psi(u).  psi = 0 is the Fubini-Study metric of curvature 4.
-    K, K_{;zbar zbar} and K_{;zbar zbar z z} are derived once per metric.
+    K, K_{;zbar zbar} and K_{;zbar zbar z z} are derived once per metric, and
+    the Calabi check on K is integrated once per metric and scheme.
     """
 
     def __init__(self, psi_coeffs: Sequence = ()):
         self.psi_coeffs = tuple(Fraction(c) for c in psi_coeffs)
         # w = (1 - u)^2 e^{2 psi}: c = 2, m = -2, p = 1
         self.w = RadialFunction(0, 2, -2, [1], self.psi_coeffs)
+        self._calabi_k = {}  # QuadratureScheme -> CalabiCheck
 
     # -- geometry ------------------------------------------------------------
 
@@ -360,10 +372,12 @@ def _radial_rule(panels: int):
 
 
 def _integral_once(integrand, metric: CompactMetric, panels: int, m_ang: int) -> float:
-    """One pass of the rule.  w must be finite and positive at every node, and
-    every integrand sample, weighted contribution and their sum finite: a
-    profile whose values leave the float range ends in one error, not in NaN
-    or inf."""
+    """One pass of the rule: the angular trapezoid rule on ``m_ang`` nodes
+    averages each row of the integrand, then the radial rule weights the row
+    averages.  w must be finite and positive at every radial node, and every
+    integrand sample, weighted row and their sum finite: a profile whose values
+    leave the float range ends in one error that names a node, not in NaN or
+    inf."""
     u, du_w = _radial_rule(panels)
     theta = 2.0 * np.pi * np.arange(m_ang) / m_ang
     r = np.sqrt(u / (1.0 - u))
@@ -378,28 +392,38 @@ def _integral_once(integrand, metric: CompactMetric, panels: int, m_ang: int) ->
         w_u = np.asarray(metric.w.of_u(u), dtype=float)
         require((np.isfinite(w_u) & (w_u > 0.0))[:, None],
                 "e^{2phi} is not finite and positive")
-        vals = np.asarray(integrand(Z), dtype=complex)
+        vals = np.broadcast_to(np.asarray(integrand(Z)), Z.shape)
         require(np.isfinite(vals), "non-finite integrand sample")
         # area element: w * (i/2) dz ^ dzbar = w * r dr dtheta,
-        # r dr = du / (2 (1-u)^2)
-        radial_factor = du_w * w_u / (2.0 * (1.0 - u) ** 2)
-        angular_factor = 2.0 * np.pi / m_ang
-        contrib = vals.real * radial_factor[:, None] * angular_factor
-        total = float(np.sum(contrib))
+        # r dr = du / (2 (1-u)^2); the trapezoid rule in theta is 2 pi times
+        # the mean of each row, each sample scaled before the sum
+        rows = vals.real @ np.full(m_ang, 1.0 / m_ang)
+        contrib = rows * du_w * w_u / (2.0 * (1.0 - u) ** 2)
+        total = 2.0 * np.pi * float(np.sum(contrib))
     if not np.isfinite(total):  # a contribution is not finite, or the sum overflows
-        require(np.isfinite(contrib), "non-finite weighted integrand")
-        raise QuadratureEvaluationError(f"the weighted integrand sums to {total}")
+        require(np.isfinite(contrib)[:, None], "non-finite weighted integrand")
+        node = Z[np.argmax(np.abs(contrib)), 0]
+        raise QuadratureEvaluationError(
+            f"the weighted integrand sums to {total}, its largest term at node z = {node}",
+            node=node,
+        )
     return total
+
+
+def _richardson(integrand, metric: CompactMetric, panels: int, m_coarse: int, m_fine: int):
+    """(fine, |fine - coarse|): the rule on ``panels`` radial panels with
+    ``m_coarse`` angular nodes, then on twice the panels with ``m_fine``."""
+    coarse = _integral_once(integrand, metric, panels, m_coarse)
+    fine = _integral_once(integrand, metric, 2 * panels, m_fine)
+    return fine, abs(fine - coarse)
 
 
 def integrate_surface(integrand, metric: CompactMetric, scheme: QuadratureScheme):
     """Area integral over the sphere chart with a one-step Richardson error
-    estimate; returns (value, error_estimate)."""
-    coarse = _integral_once(integrand, metric, scheme.radial_panels, scheme.angular_nodes)
-    fine = _integral_once(
-        integrand, metric, 2 * scheme.radial_panels, 2 * scheme.angular_nodes
-    )
-    return fine, abs(fine - coarse)
+    estimate, doubling the radial panels and the angular nodes; returns
+    (value, error_estimate)."""
+    m = scheme.angular_nodes
+    return _richardson(integrand, metric, scheme.radial_panels, m, 2 * m)
 
 
 @dataclass(frozen=True)
@@ -430,29 +454,33 @@ def calabi_identity_check(
     if isinstance(f, str):
         if f != "K":
             raise ValueError(f"unknown function name {f!r}")
-        rf = metric.gauss_curvature
-        fzz = metric.k_zbar_zbar
-        pf = metric.k_zbar_zbar_z_z
+        if scheme not in metric._calabi_k:
+            metric._calabi_k[scheme] = _calabi_integrals(
+                metric.gauss_curvature, metric.k_zbar_zbar, metric.k_zbar_zbar_z_z,
+                metric, scheme)
+        return metric._calabi_k[scheme]
+    if isinstance(f, RadialFunction):
+        if f.k != 0:
+            raise ValueError("f must be circle invariant (grade 0)")
+        rf = f
     else:
-        if isinstance(f, RadialFunction):
-            if f.k != 0:
-                raise ValueError("f must be circle invariant (grade 0)")
-            rf = f
-        else:
-            rf = metric.radial_polynomial(f)
-        fzz = metric.covariant_zbar_zbar(rf)
-        pf = metric.raise_twice(fzz)
+        rf = metric.radial_polynomial(f)
+    fzz = metric.covariant_zbar_zbar(rf)
+    return _calabi_integrals(rf, fzz, metric.raise_twice(fzz), metric, scheme)
 
+
+def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureScheme):
+    """Both sides of the identity.  Their integrands have grade 0, so they are
+    constant on each circle |z| = r, where the trapezoid rule is exact: one
+    angular node, theta = 0, stands for all, and each integrand is evaluated
+    once per radial node."""
     fzz_eval = fzz.evaluator()
     rf_eval = rf.evaluator()
     pf_eval = pf.evaluator()
 
-    lhs, lhs_err = integrate_surface(
-        lambda z: np.abs(fzz_eval(z)) ** 2, metric, scheme
-    )
-    rhs, rhs_err = integrate_surface(
-        lambda z: (pf_eval(z) * rf_eval(z)).real, metric, scheme
-    )
+    panels = scheme.radial_panels
+    lhs, lhs_err = _richardson(lambda z: np.abs(fzz_eval(z)) ** 2, metric, panels, 1, 1)
+    rhs, rhs_err = _richardson(lambda z: pf_eval(z) * rf_eval(z), metric, panels, 1, 1)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return CalabiCheck(
         lhs=lhs,
@@ -488,7 +516,8 @@ def rigidity_demo(
     I2 = integral |K_{;zbar zbar}|^2 dA and I4 = integral P(K) K dA must
     agree; the metric is spherical iff I2 vanishes, and the verdict is
     cross-checked against the exact sphericity test on the Taylor expansion
-    of the same metric at the chart center.
+    of the same metric at the chart center.  I2 and I4 are the Calabi check
+    on K, integrated once per metric and scheme.
     """
     from .invariants import is_spherical
     from .surface import cartan_r

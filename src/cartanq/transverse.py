@@ -73,10 +73,12 @@ def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
 
     Read off the connection form b = 2 D phi as R = -Dbar(b) e^{-2phi}, a
     derivation independent of the Gauss curvature formula, so K = 2R is a
-    genuine cross-check; exact order N - 2.
+    genuine cross-check; exact order N - 2.  Derived once per chart.
     """
     base = chart.base
-    return -(base.b.diff("zbar") * base.w_power(-1).truncated(base.order - 2))
+    return base._cached(
+        "R", lambda: -(base.b.diff("zbar") * base.w_power(-1).truncated(base.order - 2))
+    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from cartanq import quadrature
 from cartanq.errors import QuadratureEvaluationError
 from cartanq.quadrature import (
     CompactMetric,
@@ -70,8 +71,9 @@ def test_float_range_is_checked():
             integrate_surface(ones, CompactMetric([0, slope]), SCHEME)
         assert err.value.node is not None
     # every sample and contribution is finite, but the area integral is pi * 1e308
-    with pytest.raises(QuadratureEvaluationError):
+    with pytest.raises(QuadratureEvaluationError) as err:
         integrate_surface(lambda z: np.full(z.shape, 1e308), FS, SCHEME)
+    assert "sums to inf" in str(err.value) and err.value.node is not None
 
 
 # -- Calabi identity corpus ------------------------------------------------------------
@@ -296,14 +298,57 @@ def test_quadrature_cost_is_bounded(monkeypatch):
         return covariant(self, f)
 
     monkeypatch.setattr(CompactMetric, "covariant_zbar_zbar", counted_covariant)
+    passes = []
+    integral_once = quadrature._integral_once
+
+    def counted_integral_once(integrand, metric, panels, m_ang):
+        passes.append((panels, m_ang))
+        return integral_once(integrand, metric, panels, m_ang)
+
+    monkeypatch.setattr(quadrature, "_integral_once", counted_integral_once)
+    points = []
+    evaluator = RadialFunction.evaluator
+
+    def counted_evaluator(self):
+        call = evaluator(self)
+        return lambda z: points.append(np.size(z)) or call(z)
+
+    monkeypatch.setattr(RadialFunction, "evaluator", counted_evaluator)
 
     metric = CompactMetric(BUMP.psi_coeffs)
     metric.k_zbar_zbar_z_z
     calabi_identity_check("K", metric, SCHEME)
     calabi_identity_check([1, Fraction(-1, 2), 2], metric, SCHEME)
+    integrated = len(passes)
     rigidity_demo(metric, SCHEME)
 
     assert algebra == []
     assert derived.count(metric.gauss_curvature) == 1 and len(derived) == 2
     # w, K, K_{;zbar zbar}, K_{;zbar zbar z z}, f and its two derivatives
     assert len(compiled) == len(set(compiled)) <= 7
+    # the rigidity demo reuses the Calabi check on K
+    assert len(passes) == integrated == 8
+    # each circle-invariant integrand is evaluated once per radial node
+    assert points and max(points) <= 32 * SCHEME.radial_panels
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_radial_integrals_match_the_2d_rule(name):
+    """The Calabi integrands are circle invariant, so their integrals over the
+    radial nodes equal those of the full 2-D rule."""
+    metric, f_coeffs = ORACLE_CASES[name]
+    f = metric.radial_polynomial(f_coeffs)
+    f2 = metric.covariant_zbar_zbar(f)
+    demo = rigidity_demo(metric, SCHEME)
+    cases = (
+        (calabi_identity_check("K", metric, SCHEME), (demo.i2, demo.i4),
+         metric.gauss_curvature, metric.k_zbar_zbar, metric.k_zbar_zbar_z_z),
+        (calabi_identity_check(f_coeffs, metric, SCHEME), (),
+         f, f2, metric.raise_twice(f2)),
+    )
+    for check, demo_values, rf, fzz, pf in cases:
+        rf_eval, fzz_eval, pf_eval = rf.evaluator(), fzz.evaluator(), pf.evaluator()
+        lhs, _ = integrate_surface(lambda z: np.abs(fzz_eval(z)) ** 2, metric, SCHEME)
+        rhs, _ = integrate_surface(lambda z: (pf_eval(z) * rf_eval(z)).real, metric, SCHEME)
+        for value, reference in zip((check.lhs, check.rhs, *demo_values), (lhs, rhs) * 2):
+            assert abs(value - reference) <= 1e-12 * max(abs(value), abs(reference))

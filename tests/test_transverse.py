@@ -53,6 +53,19 @@ def test_k_equals_2r(corpus):
         assert k_equals_2r_residual(pchart(chart)).is_zero
 
 
+def test_scalar_curvature_derived_once_per_chart(products):
+    """A chart pipeline asks for R three times, directly, in check_qisgauss_trans
+    and in k_equals_2r_residual; it is one series product."""
+    pc = pchart(SurfaceChart(random_positive_metric(random.Random(11), 12)))
+    R = scalar_curvature_R(pc)
+    check_qisgauss_trans(pc)
+    k_equals_2r_residual(pc)
+    b_zbar = pc.base.b.diff("zbar")
+    assert sum(a == b_zbar and out == -R for a, _, out in products) == 1
+    products.clear()
+    assert scalar_curvature_R(pchart(pc.base)) is R and products == []
+
+
 def levi_normalized(chart):
     """b e^{2phi} = D(e^{2phi}): the contact form has Levi form one against dz."""
     w = chart.e2phi
