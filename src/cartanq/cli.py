@@ -49,13 +49,11 @@ from .transverse import (
 SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defining_F")
 
 # Cost caps.  invariants on the 8-term polynomial e^{2phi} of README takes
-# 0.18 / 0.74 / 2.7 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  The
-# fine pass of the chart-area integral holds a (32 * panels) x (2 * nodes)
-# complex array, 64 MB at the caps; the Calabi and rigidity integrals are
-# evaluated on the 32 * panels radial nodes only.
+# 0.18 / 0.74 / 2.7 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  Every
+# quadrature integrand is evaluated on the 32 * panels radial nodes of the fine
+# pass only, 1024 at the cap.
 MAX_ORDER = 64
 MAX_RADIAL_PANELS = 32
-MAX_ANGULAR_NODES = 2048
 
 
 # -- serialization helpers -------------------------------------------------------
@@ -393,11 +391,8 @@ def _cmd_quadrature(args) -> int:
 
     psi = parse_radial_polynomial(args.expr) if args.expr else []
     metric = CompactMetric(psi)
-    scheme = QuadratureScheme(
-        radial_panels=args.radial_panels,
-        angular_nodes=args.angular_nodes,
-        rel_tolerance=args.tolerance,
-    )
+    scheme = QuadratureScheme(radial_panels=args.radial_panels,
+                              rel_tolerance=args.tolerance)
 
     area, area_err = integrate_surface(
         lambda z: np.ones(z.shape), metric, scheme
@@ -424,7 +419,6 @@ def _cmd_quadrature(args) -> int:
             "kind": "compact_profile_psi",
             "psi": [_rat(c) for c in metric.psi_coeffs],
             "radial_panels": scheme.radial_panels,
-            "angular_nodes": scheme.angular_nodes,
         },
         values={
             "chart_area": area,
@@ -519,18 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("quadrature-check",
                           help="compact-manifold quadrature verification")
-    sub.add_argument("--input-kind", choices=("compact_profile_psi",),
-                     help="the only input kind of this subcommand")
     sub.add_argument("--expr",
                      help="profile psi, a polynomial in u of degree at most 16")
     _add_output_flags(sub)
     sub.add_argument("--radial-panels", type=_int_in(1, MAX_RADIAL_PANELS), default=4,
                      help=f"Gauss-Legendre panels in u, 1 to {MAX_RADIAL_PANELS} "
                      "(default 4)")
-    sub.add_argument("--angular-nodes", type=_int_in(16, MAX_ANGULAR_NODES),
-                     default=128,
-                     help=f"trapezoid nodes in angle of the chart-area integral, 16 to "
-                     f"{MAX_ANGULAR_NODES} (default 128)")
     sub.add_argument("--tolerance", type=_positive_float, default=1e-6,
                      help="relative tolerance of the Calabi identities (finite, > 0)")
     sub.set_defaults(func=_cmd_quadrature)

@@ -22,13 +22,12 @@ divisions are by powers of w, every G is one weighted term
 kept exactly as a Fraction coefficient list.  sympy only generates code: each
 evaluated G is lambdified once, so evaluation is vectorized numpy.
 
-Area integrals use composite 16-point Gauss-Legendre in u and the trapezoid
-rule in angle: each row of the grid is averaged in angle, then the radial rule
-weights the row averages.  Every integrand of the Calabi identity and of the
-rigidity demo, |f_{;zbar zbar}|^2 and f_{;zbar zbar z z} f, has grade 0 and so
-is constant on each circle |z| = r; the trapezoid rule is exact on it, so it is
-evaluated once per radial node.  Only a general callable, such as the chart
-area's integrand, is evaluated on the full grid.
+Area integrals take circle-invariant integrands only, functions of |z|: the
+chart area's 1 and every integrand of the Calabi identity and of the rigidity
+demo, |f_{;zbar zbar}|^2 and f_{;zbar zbar z z} f, which have grade 0.  The
+angular integral of such an integrand is 2 pi times its value on the positive
+real axis, so it is evaluated once per node of composite 16-point
+Gauss-Legendre in u.
 """
 
 from __future__ import annotations
@@ -335,23 +334,19 @@ class CompactMetric:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Composite 16-point Gauss-Legendre in u, uniform trapezoid in angle."""
+    """Composite 16-point Gauss-Legendre in u on ``radial_panels`` panels."""
 
     radial_panels: int = 4
-    angular_nodes: int = 128
     rel_tolerance: float = 1e-6
     abs_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.radial_panels < 1 or 16 * self.radial_panels < 16:
+        if self.radial_panels < 1:
             raise ValueError("need at least one radial panel (16 nodes)")
-        if self.angular_nodes < 16:
-            raise ValueError("need at least 16 angular nodes")
 
     def refined(self) -> "QuadratureScheme":
         return QuadratureScheme(
             radial_panels=2 * self.radial_panels,
-            angular_nodes=2 * self.angular_nodes,
             rel_tolerance=self.rel_tolerance,
             abs_tolerance=self.abs_tolerance,
         )
@@ -371,38 +366,32 @@ def _radial_rule(panels: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _integral_once(integrand, metric: CompactMetric, panels: int, m_ang: int) -> float:
-    """One pass of the rule: the angular trapezoid rule on ``m_ang`` nodes
-    averages each row of the integrand, then the radial rule weights the row
-    averages.  w must be finite and positive at every radial node, and every
-    integrand sample, weighted row and their sum finite: a profile whose values
-    leave the float range ends in one error that names a node, not in NaN or
-    inf."""
+def _integral_once(integrand, metric: CompactMetric, panels: int) -> float:
+    """One pass of the radial rule on ``panels`` panels: the integrand is
+    called once, on the nodes z = r of the positive real axis as a 1-D complex
+    array.  w must be finite and positive at every node, and every integrand
+    sample, weighted sample and their sum finite: a profile whose values leave
+    the float range ends in one error that names a node, not in NaN or inf."""
     u, du_w = _radial_rule(panels)
-    theta = 2.0 * np.pi * np.arange(m_ang) / m_ang
-    r = np.sqrt(u / (1.0 - u))
-    Z = r[:, None] * np.exp(1j * theta)[None, :]
+    z = np.sqrt(u / (1.0 - u)).astype(complex)
 
     def require(ok, what):
         if not np.all(ok):
-            node = Z[tuple(np.argwhere(~np.broadcast_to(ok, Z.shape))[0])]
+            node = z[~ok][0]
             raise QuadratureEvaluationError(f"{what} at node z = {node}", node=node)
 
     with np.errstate(all="ignore"):
         w_u = np.asarray(metric.w.of_u(u), dtype=float)
-        require((np.isfinite(w_u) & (w_u > 0.0))[:, None],
-                "e^{2phi} is not finite and positive")
-        vals = np.broadcast_to(np.asarray(integrand(Z)), Z.shape)
+        require(np.isfinite(w_u) & (w_u > 0.0), "e^{2phi} is not finite and positive")
+        vals = np.broadcast_to(np.asarray(integrand(z)), z.shape)
         require(np.isfinite(vals), "non-finite integrand sample")
-        # area element: w * (i/2) dz ^ dzbar = w * r dr dtheta,
-        # r dr = du / (2 (1-u)^2); the trapezoid rule in theta is 2 pi times
-        # the mean of each row, each sample scaled before the sum
-        rows = vals.real @ np.full(m_ang, 1.0 / m_ang)
-        contrib = rows * du_w * w_u / (2.0 * (1.0 - u) ** 2)
+        # area element: w * (i/2) dz ^ dzbar = w * r dr dtheta with
+        # r dr = du / (2 (1-u)^2); the angular integral is 2 pi, outside the sum
+        contrib = vals.real * du_w * w_u / (2.0 * (1.0 - u) ** 2)
         total = 2.0 * np.pi * float(np.sum(contrib))
     if not np.isfinite(total):  # a contribution is not finite, or the sum overflows
-        require(np.isfinite(contrib)[:, None], "non-finite weighted integrand")
-        node = Z[np.argmax(np.abs(contrib)), 0]
+        require(np.isfinite(contrib), "non-finite weighted integrand")
+        node = z[np.argmax(np.abs(contrib))]
         raise QuadratureEvaluationError(
             f"the weighted integrand sums to {total}, its largest term at node z = {node}",
             node=node,
@@ -410,20 +399,17 @@ def _integral_once(integrand, metric: CompactMetric, panels: int, m_ang: int) ->
     return total
 
 
-def _richardson(integrand, metric: CompactMetric, panels: int, m_coarse: int, m_fine: int):
-    """(fine, |fine - coarse|): the rule on ``panels`` radial panels with
-    ``m_coarse`` angular nodes, then on twice the panels with ``m_fine``."""
-    coarse = _integral_once(integrand, metric, panels, m_coarse)
-    fine = _integral_once(integrand, metric, 2 * panels, m_fine)
-    return fine, abs(fine - coarse)
-
-
 def integrate_surface(integrand, metric: CompactMetric, scheme: QuadratureScheme):
-    """Area integral over the sphere chart with a one-step Richardson error
-    estimate, doubling the radial panels and the angular nodes; returns
-    (value, error_estimate)."""
-    m = scheme.angular_nodes
-    return _richardson(integrand, metric, scheme.radial_panels, m, 2 * m)
+    """Area integral over the sphere chart of a circle-invariant integrand,
+    with a one-step Richardson error estimate from doubling the radial panels;
+    returns (value, error_estimate).
+
+    The integrand must be a function of |z|: it is called on the positive
+    real axis only, and its angular integral is taken to be 2 pi times that
+    value."""
+    coarse = _integral_once(integrand, metric, scheme.radial_panels)
+    fine = _integral_once(integrand, metric, 2 * scheme.radial_panels)
+    return fine, abs(fine - coarse)
 
 
 @dataclass(frozen=True)
@@ -448,8 +434,8 @@ def calabi_identity_check(
     integral |f_{;zbar zbar}|^2 dA = integral f_{;zbar zbar z z} f dA
     for a circle-invariant real function f.
 
-    ``f`` may be a RadialFunction of grade 0, the string 'K' for the Gauss
-    curvature, or a sequence of rational polynomial coefficients in u.
+    ``f`` is the string 'K' for the Gauss curvature, or a sequence of
+    rational polynomial coefficients in u, circle invariant by construction.
     """
     if isinstance(f, str):
         if f != "K":
@@ -459,28 +445,20 @@ def calabi_identity_check(
                 metric.gauss_curvature, metric.k_zbar_zbar, metric.k_zbar_zbar_z_z,
                 metric, scheme)
         return metric._calabi_k[scheme]
-    if isinstance(f, RadialFunction):
-        if f.k != 0:
-            raise ValueError("f must be circle invariant (grade 0)")
-        rf = f
-    else:
-        rf = metric.radial_polynomial(f)
+    rf = metric.radial_polynomial(f)
     fzz = metric.covariant_zbar_zbar(rf)
     return _calabi_integrals(rf, fzz, metric.raise_twice(fzz), metric, scheme)
 
 
 def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureScheme):
     """Both sides of the identity.  Their integrands have grade 0, so they are
-    constant on each circle |z| = r, where the trapezoid rule is exact: one
-    angular node, theta = 0, stands for all, and each integrand is evaluated
-    once per radial node."""
+    functions of |z|."""
     fzz_eval = fzz.evaluator()
     rf_eval = rf.evaluator()
     pf_eval = pf.evaluator()
 
-    panels = scheme.radial_panels
-    lhs, lhs_err = _richardson(lambda z: np.abs(fzz_eval(z)) ** 2, metric, panels, 1, 1)
-    rhs, rhs_err = _richardson(lambda z: pf_eval(z) * rf_eval(z), metric, panels, 1, 1)
+    lhs, lhs_err = integrate_surface(lambda z: np.abs(fzz_eval(z)) ** 2, metric, scheme)
+    rhs, rhs_err = integrate_surface(lambda z: pf_eval(z) * rf_eval(z), metric, scheme)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return CalabiCheck(
         lhs=lhs,
@@ -489,6 +467,10 @@ def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureSche
         lhs_error=lhs_err,
         rhs_error=rhs_err,
     )
+
+
+# Order of the Taylor chart behind the exact sphericity verdict of rigidity_demo
+SYMBOLIC_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -506,11 +488,7 @@ class RigidityReport:
         return self.numeric_spherical == self.symbolic_spherical
 
 
-def rigidity_demo(
-    metric: CompactMetric,
-    scheme: QuadratureScheme,
-    symbolic_order: int = 12,
-) -> RigidityReport:
+def rigidity_demo(metric: CompactMetric, scheme: QuadratureScheme) -> RigidityReport:
     """Quadrature realization of the compact rigidity mechanism.
 
     I2 = integral |K_{;zbar zbar}|^2 dA and I4 = integral P(K) K dA must
@@ -525,7 +503,7 @@ def rigidity_demo(
     check = calabi_identity_check("K", metric, scheme)
     numeric_spherical = abs(check.lhs) < scheme.abs_tolerance
 
-    chart = metric.taylor_chart(symbolic_order)
+    chart = metric.taylor_chart(SYMBOLIC_ORDER)
     r = cartan_r(chart)
     verdict = is_spherical(chart, r.order)
 

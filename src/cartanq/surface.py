@@ -210,7 +210,8 @@ def covariant_derivative(
         except SeriesDomainError as exc:
             raise RepresentationError(
                 "odd-letter covariant word on a chart whose e^{phi} is irrational "
-                "at the center; use even words or numeric mode"
+                "at the center; use a word with an even number of letters, or a "
+                "chart whose e^{2phi}(0) is a rational square"
             ) from exc
         S = S * half.truncated(S.order)
     k = (m + 1) // 2  # e^{m phi} = w^k, times e^{-phi} when m is odd

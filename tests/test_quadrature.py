@@ -1,8 +1,10 @@
 """Quadrature layer: areas, integration-by-parts identity, rigidity demo."""
 
+import functools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -44,16 +46,10 @@ def test_area_with_fiber_factor():
     assert abs(2 * math.pi * area - 2 * math.pi**2) < 1e-9
 
 
-def test_odd_angular_integrand_vanishes():
-    profile = FS.radial_polynomial([1, Fraction(-1, 2)]).evaluator()
-    value, _ = integrate_surface(lambda z: z.real * profile(z).real, FS, SCHEME)
-    assert abs(value) < 1e-12
-
-
 def test_non_finite_integrand_reports_node():
     def bad(z):
         out = np.ones(z.shape)
-        out[0, 0] = np.nan
+        out[0] = np.nan
         return out
 
     with pytest.raises(QuadratureEvaluationError) as err:
@@ -99,7 +95,8 @@ def test_calabi_polynomial_function():
 
 
 def test_calabi_rejects_non_invariant_f():
-    with pytest.raises(ValueError):
+    # f is 'K' or coefficients in u, circle invariant by construction
+    with pytest.raises(TypeError):
         calabi_identity_check(RadialFunction(1, 1), BUMP, SCHEME)
     with pytest.raises(ValueError):
         calabi_identity_check("R", BUMP, SCHEME)
@@ -152,8 +149,6 @@ def test_doubling_within_error_estimate():
 def test_scheme_validation():
     with pytest.raises(ValueError):
         QuadratureScheme(radial_panels=0)
-    with pytest.raises(ValueError):
-        QuadratureScheme(angular_nodes=8)
 
 
 def test_taylor_chart_matches_closed_form():
@@ -228,6 +223,11 @@ ORACLE_CASES = {
 }
 
 
+@functools.cache
+def _oracle_case(name):
+    return _oracle(*ORACLE_CASES[name])
+
+
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_closed_form_matches_sympy_oracle_exactly(name):
     metric, f_coeffs = ORACLE_CASES[name]
@@ -235,7 +235,7 @@ def test_closed_form_matches_sympy_oracle_exactly(name):
     f2 = metric.covariant_zbar_zbar(f)
     mine = [metric.gauss_curvature, metric.k_zbar_zbar, metric.k_zbar_zbar_z_z,
             f2, metric.raise_twice(f2)]
-    for quantity, expected in zip(mine, _oracle(metric, f_coeffs)):
+    for quantity, expected in zip(mine, _oracle_case(name)):
         assert sp.cancel(_as_sympy(quantity, metric) - expected) == 0
 
 
@@ -301,9 +301,9 @@ def test_quadrature_cost_is_bounded(monkeypatch):
     passes = []
     integral_once = quadrature._integral_once
 
-    def counted_integral_once(integrand, metric, panels, m_ang):
-        passes.append((panels, m_ang))
-        return integral_once(integrand, metric, panels, m_ang)
+    def counted_integral_once(integrand, metric, panels):
+        passes.append(panels)
+        return integral_once(integrand, metric, panels)
 
     monkeypatch.setattr(quadrature, "_integral_once", counted_integral_once)
     points = []
@@ -334,21 +334,30 @@ def test_quadrature_cost_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_radial_integrals_match_the_2d_rule(name):
-    """The Calabi integrands are circle invariant, so their integrals over the
-    radial nodes equal those of the full 2-D rule."""
+    """Independent oracle for both sides of the Calabi check on K and on f:
+    the area integral of a circle-invariant g is 2 pi int_0^inf g(r) w(r) r dr,
+    here by mpmath.quad on the sympy oracle at z = zbar = r, T = e^{psi(u)}."""
     metric, f_coeffs = ORACLE_CASES[name]
-    f = metric.radial_polynomial(f_coeffs)
-    f2 = metric.covariant_zbar_zbar(f)
-    demo = rigidity_demo(metric, SCHEME)
-    cases = (
-        (calabi_identity_check("K", metric, SCHEME), (demo.i2, demo.i4),
-         metric.gauss_curvature, metric.k_zbar_zbar, metric.k_zbar_zbar_z_z),
-        (calabi_identity_check(f_coeffs, metric, SCHEME), (),
-         f, f2, metric.raise_twice(f2)),
-    )
-    for check, demo_values, rf, fzz, pf in cases:
-        rf_eval, fzz_eval, pf_eval = rf.evaluator(), fzz.evaluator(), pf.evaluator()
-        lhs, _ = integrate_surface(lambda z: np.abs(fzz_eval(z)) ** 2, metric, SCHEME)
-        rhs, _ = integrate_surface(lambda z: (pf_eval(z) * rf_eval(z)).real, metric, SCHEME)
-        for value, reference in zip((check.lhs, check.rhs, *demo_values), (lhs, rhs) * 2):
-            assert abs(value - reference) <= 1e-12 * max(abs(value), abs(reference))
+    K, k2, k4, f2, f4 = _oracle_case(name)
+    f = _in_u(f_coeffs)
+    psi = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(metric.psi_coeffs)]
+
+    def area_integral(expr):
+        g = sp.lambdify((_z, _zb, _T), expr, modules="mpmath")
+
+        def integrand(r):
+            u = r * r / (1 + r * r)
+            t = mpmath.exp(mpmath.polyval(psi, u)) if psi else 1
+            return g(r, r, t) * (1 - u) ** 2 * t**2 * 2 * mpmath.pi * r
+
+        return float(mpmath.quad(integrand, [0, 1, mpmath.inf]))
+
+    with mpmath.workdps(20):
+        expected = [area_integral(e) for e in (k2**2, k4 * K, f2**2, f4 * f)]
+    k_check = calabi_identity_check("K", metric, SCHEME)
+    f_check = calabi_identity_check(f_coeffs, metric, SCHEME)
+    values = [k_check.lhs, k_check.rhs, f_check.lhs, f_check.rhs]
+    if name in ("FS", "constant_psi"):  # constant curvature: K_{;zbar zbar} = 0
+        assert values[:2] == expected[:2] == [0.0, 0.0]
+    for value, reference in zip(values, expected):
+        assert abs(value - reference) <= 1e-12 * max(abs(value), abs(reference))

@@ -128,8 +128,10 @@ def test_covariant_odd_word_needs_rational_sqrt():
     # e^{2phi}(0) = 2 is not a rational square: odd words are unrepresentable
     chart = f_eps_chart(Fraction(1, 10))
     K = gauss_curvature(chart)
-    with pytest.raises(RepresentationError):
+    with pytest.raises(RepresentationError) as err:
         covariant_derivative(K, ("zbar",), chart)
+    assert "an even number of letters" in str(err.value)
+    assert "e^{2phi}(0) is a rational square" in str(err.value)
     # but on a chart with square constant term the odd word works
     chart4 = SurfaceChart(expand("4+z*zb", 8))
     K4 = gauss_curvature(chart4)
