@@ -3,12 +3,7 @@ invariant Q;11 for strictly pseudoconvex 3-dimensional CR manifolds with
 transverse symmetry."""
 
 from .gaussrat import GaussianRational
-from .series import (
-    TruncatedSeries,
-    conjugate,
-    differentiate,
-    evaluate,
-)
+from .series import TruncatedSeries, differentiate
 from .surface import (
     SurfaceChart,
     cartan_r,
@@ -22,9 +17,7 @@ from .transverse import (
     FiberPoint,
     PseudohermitianChart,
     check_qisgauss_trans,
-    connection_form_coefficients,
     q11_representative,
-    q1_representative,
     q_representative,
     scalar_curvature_R,
     verify_bracket_identity,
@@ -64,9 +57,7 @@ def __getattr__(name):
 __all__ = [
     "GaussianRational",
     "TruncatedSeries",
-    "conjugate",
     "differentiate",
-    "evaluate",
     "SurfaceChart",
     "cartan_r",
     "cartan_s",
@@ -77,9 +68,7 @@ __all__ = [
     "FiberPoint",
     "PseudohermitianChart",
     "check_qisgauss_trans",
-    "connection_form_coefficients",
     "q_representative",
-    "q1_representative",
     "q11_representative",
     "scalar_curvature_R",
     "verify_bracket_identity",

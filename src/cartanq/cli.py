@@ -78,7 +78,7 @@ def _series_json(s: TruncatedSeries, display_order: int):
         "order": s.order,
         "display_order": n,
         "coeffs": [
-            [k, l, _rat(c.re), _rat(c.im)] for (k, l), c in shown.graded_items()
+            [k, l, _rat(c.re), _rat(c.im)] for (k, l), c in shown.coeffs.items()
         ],
     }
 
@@ -86,7 +86,7 @@ def _series_json(s: TruncatedSeries, display_order: int):
 def _residual_entry(series: TruncatedSeries):
     if series.is_zero:
         return {"exact_zero": True, "value": "0", "order": series.order}
-    first = min(series.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    first = next(iter(series.coeffs.items()))
     return {
         "exact_zero": False,
         "value": _grat(first[1]),

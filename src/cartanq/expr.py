@@ -253,7 +253,7 @@ def print_expression(s: TruncatedSeries) -> str:
     if any(c.im for c in s.coeffs.values()):
         raise ValueError("canonical printer only supports real-coefficient series")
     parts = []
-    for (k, l), c in s.graded_items():
+    for (k, l), c in s.coeffs.items():
         mon = []
         if k:
             mon.append(f"z^{k}")

@@ -1,7 +1,9 @@
 """Gaussian rationals: exact complex numbers with rational real and imaginary parts.
 
-This is the coefficient field for every symbolic computation in the package.
-All arithmetic is exact; there is no rounding anywhere in this module.
+These are the coefficient values at the API boundary (``series.coeffs``,
+reports, files) and the fiber coordinate lambda.  The series core itself
+computes on integer numerators over a common denominator.  All arithmetic is
+exact; there is no rounding anywhere in this module.
 """
 
 from __future__ import annotations
@@ -121,9 +123,6 @@ class GaussianRational:
 
     # -- conversions ---------------------------------------------------------
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         if not self.im:
             return f"GaussianRational({self.re})"
@@ -136,8 +135,3 @@ class GaussianRational:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)

@@ -86,17 +86,12 @@ def is_spherical(chart: SurfaceChart, order: int) -> SphericityVerdict:
         raise InsufficientOrderError(
             f"requested order {order} exceeds available exact order {r.order} of r"
         )
-    offenders = [
-        (kl, c) for kl, c in sorted(r.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        if kl[0] + kl[1] <= order
-    ]
-    if offenders:
-        return SphericityVerdict(False, order, offenders[0])
-    return SphericityVerdict(True, order, None)
+    first = next(iter(r.truncated(order).coeffs.items()), None)
+    return SphericityVerdict(first is None, order, first)
 
 
 def q11_at_origin(surface: RigidSurface) -> GaussianRational:
-    """Constant coefficient of s for the rigid chart, at lambda = 1, mu = 0."""
+    """Constant coefficient of s for the rigid chart, at lambda = 1."""
     chart = PseudohermitianChart(surface.chart)
     rep = q11_representative(chart, FiberPoint(GaussianRational(1)))
     return rep.constant_value()

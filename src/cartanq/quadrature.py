@@ -417,8 +417,6 @@ class CalabiCheck:
     lhs: float
     rhs: float
     relative_residual: float
-    lhs_error: float
-    rhs_error: float
 
     def passes(self, rel_tolerance: float) -> bool:
         return (
@@ -457,15 +455,13 @@ def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureSche
     rf_eval = rf.evaluator()
     pf_eval = pf.evaluator()
 
-    lhs, lhs_err = integrate_surface(lambda z: np.abs(fzz_eval(z)) ** 2, metric, scheme)
-    rhs, rhs_err = integrate_surface(lambda z: pf_eval(z) * rf_eval(z), metric, scheme)
+    lhs, _ = integrate_surface(lambda z: np.abs(fzz_eval(z)) ** 2, metric, scheme)
+    rhs, _ = integrate_surface(lambda z: pf_eval(z) * rf_eval(z), metric, scheme)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return CalabiCheck(
         lhs=lhs,
         rhs=rhs,
         relative_residual=abs(lhs - rhs) / denom,
-        lhs_error=lhs_err,
-        rhs_error=rhs_err,
     )
 
 
@@ -477,8 +473,6 @@ SYMBOLIC_ORDER = 12
 class RigidityReport:
     i2: float
     i4: float
-    i2_error: float
-    i4_error: float
     relative_gap: float
     numeric_spherical: bool
     symbolic_spherical: bool
@@ -510,8 +504,6 @@ def rigidity_demo(metric: CompactMetric, scheme: QuadratureScheme) -> RigidityRe
     return RigidityReport(
         i2=check.lhs,
         i4=check.rhs,
-        i2_error=check.lhs_error,
-        i4_error=check.rhs_error,
         relative_gap=check.relative_residual,
         numeric_spherical=numeric_spherical,
         symbolic_spherical=verdict.spherical,

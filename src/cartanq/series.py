@@ -319,10 +319,6 @@ class TruncatedSeries:
             object.__setattr__(self, "_real", _hermitian(self._re, self._im, self._rows))
         return self._real
 
-    def graded_items(self):
-        """Coefficients in graded-lexicographic order (k+l, then k ascending)."""
-        return list(self.coeffs.items())
-
     def _lists(self, order: int):
         """Numerator lists cut to total degree <= order, and their row count."""
         if self._rows <= order + 1:
@@ -450,9 +446,6 @@ class TruncatedSeries:
     def diff(self, var: str) -> "TruncatedSeries":
         return differentiate(self, var)
 
-    def evaluate(self, point) -> complex:
-        return evaluate(self, point)
-
     # -- comparisons -------------------------------------------------------------
 
     def __eq__(self, other):
@@ -474,7 +467,7 @@ class TruncatedSeries:
             body = "0"
         else:
             parts = []
-            for (k, l), c in self.graded_items():
+            for (k, l), c in self.coeffs.items():
                 mon = "".join([f"*z^{k}" if k else "", f"*zb^{l}" if l else ""])
                 parts.append(f"({c}){mon}")
             body = " + ".join(parts)
@@ -496,10 +489,6 @@ def differentiate(s: TruncatedSeries, var: str) -> TruncatedSeries:
     re = list(map(mul, factor, map(s._re.__getitem__, index)))
     im = list(map(mul, factor, map(s._im.__getitem__, index))) if s._im else None
     return _series(s.order - 1, s._den, re, im)
-
-
-def conjugate(s: TruncatedSeries) -> TruncatedSeries:
-    return s.conjugate()
 
 
 def _start(s: TruncatedSeries) -> int:
@@ -620,21 +609,3 @@ def inv_sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
         raise SeriesDomainError(f"sqrt of constant term {c} is not a positive rational square")
     return _inv_root(s, TruncatedSeries.constant(1 / root, _start(s)), 2)
 
-
-def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    """sqrt(s) = s / sqrt(s); s(0) must be the square of a positive rational."""
-    return s * inv_sqrt_series(s)
-
-
-def evaluate(s: TruncatedSeries, point) -> complex:
-    """Floating-point value at a chart point, summed in graded-lex order.
-
-    The fixed summation order makes results reproducible bit-for-bit on a
-    given platform.
-    """
-    z = complex(point)
-    zb = z.conjugate()
-    total = 0j
-    for (k, l), c in s.graded_items():
-        total += complex(c) * z**k * zb**l
-    return total

@@ -24,7 +24,7 @@ def _format_rational(q: Fraction) -> str:
 
 def dumps(s: TruncatedSeries) -> str:
     lines = [f"order {s.order}"]
-    for (k, l), c in s.graded_items():
+    for (k, l), c in s.coeffs.items():
         lines.append(
             f"{k} {l} {_format_rational(c.re)} {_format_rational(c.im)}"
         )

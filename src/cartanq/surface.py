@@ -96,10 +96,6 @@ class SurfaceChart:
     def bbar(self) -> TruncatedSeries:
         return self._cached("bbar", lambda: self.b.conjugate())
 
-    def ephi(self) -> TruncatedSeries:
-        """e^{phi} = w e^{-phi}; exists exactly only when w(0) is a rational square."""
-        return self._cached("ephi", lambda: self.e2phi * self.ephi_inv())
-
     def ephi_inv(self) -> TruncatedSeries:
         """e^{-phi} = 1/sqrt(w); exists exactly only when w(0) is a rational square."""
         return self._cached("ephi_inv", lambda: inv_sqrt_series(self.e2phi))

@@ -11,8 +11,7 @@ the same even-word engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import InvalidFiberPointError
 from .gaussrat import GaussianRational
@@ -29,14 +28,13 @@ from .surface import (
 
 @dataclass(frozen=True)
 class FiberPoint:
-    """Coordinates (lambda, mu) on Cartan's bundle over the chart center.
+    """The coordinate lambda on Cartan's bundle over the chart center.
 
-    The remaining fiber coordinate rho never enters Q or Q;11 and is
+    The other fiber coordinates mu and rho never enter Q or Q;11 and are
     deliberately unrepresented.
     """
 
     lam: GaussianRational
-    mu: GaussianRational = field(default_factory=lambda: GaussianRational(0))
 
     def __post_init__(self):
         if not self.lam:
@@ -50,22 +48,15 @@ class FiberPoint:
 class PseudohermitianChart:
     """Transverse-symmetry pseudohermitian structure over a surface chart.
 
-    ``torsion_zero`` is structurally true: the Reeb field of the symmetry is
-    an infinitesimal automorphism, so A_11 = 0.  The Levi normalization
+    The torsion vanishes structurally: the Reeb field of the symmetry is an
+    infinitesimal automorphism, so A_11 = 0.  The Levi normalization
     (contact form theta = e^{-2phi} theta_0 with Levi form one against
     theta^1 = dz) holds by construction: the d-theta coefficient b is
     D(e^{2phi}) / e^{2phi}, so b e^{2phi} = D(e^{2phi}) in the series ring.
     """
 
-    contact_scale = "theta = e^{-2phi} theta_0, Levi form 1 against theta^1 = dz"
-    torsion_zero = True
-
     def __init__(self, base: SurfaceChart):
         self.base = base
-
-    @property
-    def order(self) -> int:
-        return self.base.order
 
 
 def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
@@ -82,32 +73,8 @@ def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
 
 
 @dataclass(frozen=True)
-class ConnectionForms:
-    """Connection form data for the two coframes.
-
-    ``theta1_coefficient`` is the dz-coframe coefficient of omega_1^1
-    (namely 2 D phi).  ``unitary_pair`` is (-D phi, Dbar phi), the
-    coefficients of the unitary-coframe form without its e^{-phi} prefactor,
-    whose exponent is tracked separately to stay rational.
-    """
-
-    theta1_coefficient: TruncatedSeries
-    unitary_pair: tuple
-    unitary_prefactor_exponent: int = -1
-
-
-def connection_form_coefficients(chart: PseudohermitianChart) -> ConnectionForms:
-    b = chart.base.b
-    minus_dphi = b * Fraction(-1, 2)
-    dbar_phi = chart.base.bbar * Fraction(1, 2)
-    return ConnectionForms(
-        theta1_coefficient=b, unitary_pair=(minus_dphi, dbar_phi)
-    )
-
-
-@dataclass(frozen=True)
 class FiberRepresentative:
-    """A bundle function of the form series(z, zbar) * scale(lambda, mu)."""
+    """A bundle function of the form series(z, zbar) * scale(lambda)."""
 
     series: TruncatedSeries
     scale: GaussianRational
@@ -121,25 +88,6 @@ def q_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberReprese
     lam, lamb = p.lam, p.lam.conjugate()
     scale = GaussianRational(1) / (lam * lamb * lamb * lamb)
     return FiberRepresentative(series=cartan_r(chart.base), scale=scale)
-
-
-def q1_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberRepresentative:
-    """Q;1 = (L_1 r - r b + i r mubar) / (lambda^2 lambdabar^3).
-
-    For circle-invariant data L_1 acts as D: the -f d/dt component of L_1
-    annihilates functions of (z, zbar), which is asserted structurally by the
-    bivariate series representation.
-    """
-    base = chart.base
-    r = cartan_r(base)
-    series = (
-        r.diff("z")
-        - r * base.b
-        + r * (GaussianRational(0, 1) * p.mu.conjugate())
-    )
-    lam, lamb = p.lam, p.lam.conjugate()
-    scale = GaussianRational(1) / (lam * lam * lamb * lamb * lamb)
-    return FiberRepresentative(series=series, scale=scale)
 
 
 def q11_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberRepresentative:

@@ -43,3 +43,14 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert offenders == []
+
+
+def test_star_import_resolves_every_exported_name():
+    """A name left in ``__all__`` after its definition is deleted fails here;
+    the quadrature names resolve through the lazy ``__getattr__``."""
+    out = _run_python(
+        "import cartanq\n"
+        "from cartanq import *\n"
+        "print(sorted(set(cartanq.__all__) - set(globals())))\n"
+    )
+    assert out.splitlines() == ["[]"]

@@ -23,8 +23,8 @@ from cartanq.series import (
     TruncatedSeries,
     exp_series,
     log1p_series,
+    inv_sqrt_series,
     reciprocal,
-    sqrt_series,
 )
 
 ORACLE = settings(
@@ -310,7 +310,8 @@ def test_sqrt_matches_schoolbook(ops):
     # a positive rational square as the constant term, from the draw itself
     root = abs(a.get((0, 0), (Fraction(0),))[0]) or Fraction(1)
     a = {**a, (0, 0): (root * root, Fraction(0))}
-    assert from_series(sqrt_series(to_series(n, a))) == ref_sqrt(a, n)
+    s = to_series(n, a)
+    assert from_series(s * inv_sqrt_series(s)) == ref_sqrt(a, n)
 
 
 def _is_square(q):
@@ -322,5 +323,4 @@ def test_ephi_on_charts_with_a_square_center(corpus):
     assert len(square) >= 3
     for chart in square:
         one = TruncatedSeries.constant(1, chart.order)
-        assert chart.ephi() * chart.ephi_inv() == one
-        assert chart.ephi() ** 2 == chart.e2phi
+        assert chart.ephi_inv() ** 2 * chart.e2phi == one

@@ -73,6 +73,11 @@ def test_line_bundle_rejects_wrong_sign():
         phi_from_line_bundle_metric(expand("1+z*zb"))
 
 
+def test_connection_coefficient_one_plus_rho():
+    b = one_plus_rho_chart().b  # b = D(w)/w for w = 1 + z zb
+    assert b == expand("zb*(1+z*zb)^-1", b.order)
+
+
 def test_rigid_defining_basic():
     chart = phi_from_rigid_defining(expand("z*zb", 10))
     assert chart.e2phi == TruncatedSeries.constant(2, 8)
