@@ -49,7 +49,7 @@ from .transverse import (
 SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defining_F")
 
 # Cost caps.  invariants on the 8-term polynomial e^{2phi} of README takes
-# 0.18 / 0.74 / 2.7 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  Every
+# 0.08 / 0.25 / 0.95 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  Every
 # quadrature integrand is evaluated on the 32 * panels radial nodes of the fine
 # pass only, 1024 at the cap.
 MAX_ORDER = 64

@@ -17,12 +17,12 @@ so the layout is canonical and ``==`` and ``hash`` are structural.  All
 arithmetic works on the integers; ``GaussianRational`` values are built only
 at the boundary (``coeffs``, ``coeff``, ``constant_term``).
 
-Products use Kronecker substitution (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", JSC 44, 2009): the
-coefficient of (d, l) goes to slot d*S + l of one big integer, S being one
-more than the highest degree kept, so one integer product computes every
-coefficient of total degree <= N at once and the terms above N land beyond
-the slots that are read back.
+Products are short products (Mulders, "On short multiplications and
+divisions", AAECC 11, 2000): no degree above N is ever formed.  Within a
+degree row, Kronecker substitution (Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", JSC 44, 2009) packs the coefficient
+of (d - l, l) into slot l of one integer, so the product of rows i and j is
+row i + j, and output row d is the sum over i of row i times row d - i.
 
 The elementary functions are Newton iterations that double the exact order
 at each step (Brent and Kung, "Fast algorithms for manipulating formal power
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import OrderMismatchError, SeriesDomainError
@@ -92,54 +92,43 @@ def _conj_table(rows: int):
     return tuple(_size(d) + d - l for d in range(rows) for l in range(d + 1))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1024)
 def _offset(nbytes: int, slots: int) -> int:
-    """The packed integer with the value 2**(8 nbytes - 1) in every slot."""
+    """The packed integer with the value 2**(8 nbytes - 1) in every slot; the
+    memo holds rows of up to 65 slots for 15 slot widths."""
     return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little") * slots, "little")
 
 
-def _pack(xs, rows: int, stride: int, nbytes: int) -> int:
-    """sum xs[(d, l)] * 2**(8 nbytes (d stride + l)) over the first ``rows``
-    degrees, built from byte slots offset to be non-negative."""
+def _pack_rows(xs, rows: int, nbytes: int):
+    """One integer per degree row d < rows, sum_l xs[(d, l)] 2**(8 nbytes l),
+    cut from one buffer of byte slots offset to be non-negative; an all-zero
+    row packs to 0, which the unpacking skips."""
     half = 1 << (8 * nbytes - 1)
-    pad = half.to_bytes(nbytes, "little")
-    parts = []
-    i = 0
-    for d in range(rows):
-        row = xs[i:i + d + 1]
-        i += d + 1
-        if any(row):
-            parts += map(int.to_bytes, map(half.__add__, row), repeat(nbytes), repeat("little"))
-            parts.append(pad * (stride - d - 1))
-        else:
-            parts.append(pad * stride)
-    return int.from_bytes(b"".join(parts), "little") - _offset(nbytes, rows * stride)
+    buf = b"".join(map(int.to_bytes, map(half.__add__, xs), repeat(nbytes), repeat("little")))
+    return [int.from_bytes(buf[d * (d + 1) // 2 * nbytes:(d + 1) * (d + 2) // 2 * nbytes],
+                           "little") - _offset(nbytes, d + 1) for d in range(rows)]
 
 
-def _unpack(value: int, rows: int, nbytes: int):
-    """Graded list of the slots (d, l), d < rows, of a product packed with
-    stride ``rows``.
+def _short(xs, ys, rows: int):
+    """Rows d < rows of the product of two row lists: sum_i xs[i] ys[d - i]."""
+    m, ry = len(ys), ys[::-1]
+    return [sum(map(mul, xs[max(0, d - m + 1):d + 1], ry[max(0, m - 1 - d):]))
+            for d in range(rows)]
 
-    Adding the offset makes every slot below row ``rows`` non-negative, so the
-    slots are independent byte ranges of one ``to_bytes``; the terms of
-    higher degree only touch the bytes above them."""
+
+def _unpack_rows(packed, nbytes: int):
+    """Graded list of the slots of packed rows.  With the offset added every
+    slot of a row is non-negative, so one ``to_bytes`` splits the row."""
     half = 1 << (8 * nbytes - 1)
-    pad = half.to_bytes(nbytes, "little")
-    stride = rows
-    slots = rows * stride
-    value += _offset(nbytes, slots)
-    size = max(slots * nbytes, value.bit_length() // 8 + 1)
-    buf = value.to_bytes(size, "little", signed=True)
     from_bytes = int.from_bytes
     out = []
-    for d in range(rows):
-        start = d * stride * nbytes
-        stop = start + (d + 1) * nbytes
-        if buf[start:stop] == pad * (d + 1):
-            out += [0] * (d + 1)
-        else:
+    for d, value in enumerate(packed, 1):
+        if value:
+            buf = (value + _offset(nbytes, d)).to_bytes(d * nbytes, "little")
             out += [from_bytes(buf[p:p + nbytes], "little") - half
-                    for p in range(start, stop, nbytes)]
+                    for p in range(0, len(buf), nbytes)]
+        else:
+            out += [0] * d
     return out
 
 
@@ -383,6 +372,11 @@ class TruncatedSeries:
         return _series(self.order, self._den * r, new_re, new_im)
 
     def __mul__(self, other):
+        """Product at the lower of the two orders, or product by a scalar.
+
+        Cost: each sum over rows makes at most rows (rows + 1) / 2 row
+        products, each of two integers of at most rows * nbytes bytes; real
+        by complex takes 2 sums and complex by complex 3 (Gauss's trick)."""
         if isinstance(other, _SCALARS):
             return self._scaled(other)
         if not isinstance(other, TruncatedSeries):
@@ -402,22 +396,25 @@ class TruncatedSeries:
             + (2 if ai and bi else 1)
         )
         nbytes = (width + 7) // 8
-        pa = _pack(ar, ra, rows, nbytes)
-        pb = pa if other is self else _pack(br, rb, rows, nbytes)
-        pai = _pack(ai, ra, rows, nbytes) if ai else None
-        pbi = (pai if other is self else _pack(bi, rb, rows, nbytes)) if bi else None
-        re = pa * pb
+        pa = _pack_rows(ar, ra, nbytes)
+        pb = pa if other is self else _pack_rows(br, rb, nbytes)
+        pai = _pack_rows(ai, ra, nbytes) if ai else None
+        pbi = (pai if other is self else _pack_rows(bi, rb, nbytes)) if bi else None
+        re = _short(pa, pb, rows)
         if pai is None and pbi is None:
             im = None
         elif pbi is None:
-            im = pai * pb
+            im = _short(pai, pb, rows)
         elif pai is None:
-            im = pa * pbi
+            im = _short(pa, pbi, rows)
         else:
-            ii = pai * pbi
-            re, im = re - ii, (pa + pai) * (pb + pbi) - re - ii
-        re = _unpack(re, rows, nbytes)
-        im = None if im is None else _unpack(im, rows, nbytes)
+            ii = _short(pai, pbi, rows)
+            sa = list(map(add, pa, pai))
+            im = _short(sa, sa if other is self else list(map(add, pb, pbi)), rows)
+            im = [s - x - y for s, x, y in zip(im, re, ii)]
+            re = list(map(sub, re, ii))
+        re = _unpack_rows(re, nbytes)
+        im = None if im is None else _unpack_rows(im, nbytes)
         return _series(order, self._den * other._den, re, im)
 
     def __rmul__(self, other):
@@ -545,7 +542,7 @@ def _newton(order: int, x: TruncatedSeries, step) -> TruncatedSeries:
 def _inv_root(f: TruncatedSeries, x: TruncatedSeries, p: int) -> TruncatedSeries:
     """f^(-1/p) from x, a root exact to the order of x, by the Newton step
     x <- x (1 + (1 - f x^p) / p): with f x^p = 1 + O(m + 1) the error becomes
-    O(2m + 2) for p = 1 (the reciprocal) and p = 2."""
+    O(2m + 2) for every p >= 1, since the step is Newton's for x^-p - f."""
     def step(x, m, n):
         re, im, _ = x._lists(n - m - 1)
         return x - _series(n, x._den * p, re, im) * _plus(f.truncated(n) * x ** p, -1)

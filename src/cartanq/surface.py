@@ -251,22 +251,24 @@ def cartan_s(chart: SurfaceChart) -> TruncatedSeries:
     return chart._cached("s", make)
 
 
-def curvature_identity_residuals(
-    curvature: TruncatedSeries, factor: int, chart: SurfaceChart
-):
-    """Exact residuals factor * r + e^{4phi} C_{;zbar zbar} and
-    factor * s + e^{6phi} C_{;zbar zbar z z} of a curvature C of the chart."""
-    C2 = covariant_derivative(curvature, ("zbar", "zbar"), chart)
-    res1 = cartan_r(chart) * factor + chart.w_power(2) * C2
-    C4 = covariant_derivative(curvature, ("zbar", "zbar", "z", "z"), chart)
-    res2 = cartan_s(chart) * factor + chart.w_power(3) * C4
-    return res1, res2
+def weighted_words(f: TruncatedSeries, chart: SurfaceChart):
+    """e^{4phi} f_{;zbar zbar} and e^{6phi} f_{;zbar zbar z z}, the two
+    covariant words of the curvature identities; both are linear in f."""
+    f2 = covariant_derivative(f, ("zbar", "zbar"), chart)
+    f4 = covariant_derivative(f, ("zbar", "zbar", "z", "z"), chart)
+    return chart.w_power(2) * f2, chart.w_power(3) * f4
 
 
 def qisgauss_residuals(chart: SurfaceChart):
     """Exact residuals of the two curvature identities
-    12 r + e^{4phi} K_{;zbar zbar} and 12 s + e^{6phi} K_{;zbar zbar z z}."""
-    return curvature_identity_residuals(gauss_curvature(chart), 12, chart)
+    12 r + e^{4phi} K_{;zbar zbar} and 12 s + e^{6phi} K_{;zbar zbar z z};
+    derived once per chart."""
+
+    def make():
+        k2, k4 = weighted_words(gauss_curvature(chart), chart)
+        return cartan_r(chart) * 12 + k2, cartan_s(chart) * 12 + k4
+
+    return chart._cached("qisgauss", make)
 
 
 def divergence_form_residual(chart: SurfaceChart) -> TruncatedSeries:

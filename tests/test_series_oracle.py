@@ -9,6 +9,7 @@ zero series, dense series at the bound that sizes a packed product slot,
 order 0, and operands of unequal order.
 """
 
+import random
 from datetime import timedelta
 from fractions import Fraction
 from math import isqrt
@@ -275,6 +276,103 @@ def test_product_at_the_slot_bound():
                 b = {kl: (cb, tb * cb) for kl in pairs}
                 prod = to_series(4, a) * to_series(4, b)
                 assert from_series(prod) == ref_mul(a, b, 4)
+
+
+# -- the row layout of a product ----------------------------------------------------
+#
+# A product packs each degree row of a factor into one integer and forms the
+# output rows d <= order only, as sums of row i times row d - i.
+
+_KINDS = ("complex", "real", "imaginary")
+
+
+def _kind(a, kind):
+    """The complex, real or imaginary part of a reference series."""
+    if kind == "real":
+        return _clean({kl: (x, Fraction(0)) for kl, (x, _) in a.items()})
+    if kind == "imaginary":
+        return _clean({kl: (Fraction(0), y) for kl, (_, y) in a.items()})
+    return a
+
+
+def _dense(rng, rows, kind):
+    """Coefficients on every degree below ``rows``, none of them zero."""
+    def value():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**70), rng.randint(1, 2**40))
+    pairs = [(k, d - k) for d in range(rows) for k in range(d + 1)]
+    return _kind({kl: (value(), value()) for kl in pairs}, kind)
+
+
+def test_product_with_all_zero_rows():
+    # z^k |z|^{2j} at (k + j, j) leaves every second degree row empty, and a
+    # single-row factor has only one nonzero row
+    def radial(order, k, c):
+        return {(k + j, j): (Fraction(c * (j + 1), 3), Fraction(c - j, 7))
+                for j in range((order - k) // 2 + 1)}
+
+    def single(d, c):
+        return {(d - l, l): (Fraction(c + l), Fraction(l - c, 5)) for l in range(d + 1)}
+
+    for order in (7, 12):
+        factors = [{}]
+        for kind in _KINDS:
+            factors += [_kind(radial(order, k, c), kind) for k, c in ((0, 3), (1, -2**70), (2, 5))]
+            factors += [_kind(single(d, c), kind) for d, c in ((0, 9), (3, 2**65), (order, -4))]
+        for a in factors:
+            for b in factors:
+                prod = to_series(order, a) * to_series(order, b)
+                assert from_series(prod) == ref_mul(a, b, order)
+
+
+def test_product_of_factors_with_unequal_row_counts():
+    # a has ra rows at order 6, b has rb rows at order 8: ra + rb - 1, the
+    # rows of the full product, falls below, at and above order + 1 = 7
+    rng = random.Random(19)
+    sides = set()
+    for ra in range(1, 8):
+        for rb in range(1, 10):
+            ka, kb = _KINDS[(ra + rb) % 3], _KINDS[(ra + 2 * rb) % 3]
+            a, b = _dense(rng, ra, ka), _dense(rng, rb, kb)
+            prod = to_series(6, a) * to_series(8, b)
+            assert from_series(prod) == ref_mul(a, b, 6)
+            assert from_series(to_series(8, b) * to_series(6, a)) == ref_mul(b, a, 6)
+            sides.add((ra + rb - 1 > 7) - (ra + rb - 1 < 7))
+    assert sides == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("order", [12, 24])
+def test_dense_product_at_the_slot_bound(order):
+    # As test_product_at_the_slot_bound, at the orders of the pipeline.  A
+    # factor of 5 dense rows has 15 coefficients, and every slot (k, l) with
+    # k, l >= 4 sums all 15 pairs with a dense factor: within 0.1 bit of the
+    # bound that sizes a slot.  Eight bit lengths of one factor put the bound
+    # on every byte alignment.  ref_mul is bilinear, so the reference is
+    # c_a c_b (1 + i t_a)(1 + i t_b) times ref_mul of the all-ones factors.
+    dense = [(k, d - k) for d in range(order + 1) for k in range(d + 1)]
+    for rows in (5, order + 1):
+        pairs = dense[:rows * (rows + 1) // 2]
+        ones = ({kl: (Fraction(1), Fraction(0)) for kl in kls} for kls in (pairs, dense))
+        base = ref_mul(*ones, order)
+        for bits_a in range(57, 65):
+            for bits_b in (59, 64):
+                for ta, tb in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1)):
+                    ca, cb = Fraction(2**bits_a - 1), Fraction(-(2**bits_b - 1))
+                    a = {kl: (ca, ta * ca) for kl in pairs}
+                    b = {kl: (cb, tb * cb) for kl in dense}
+                    scale = _cmul((ca, ta * ca), (cb, tb * cb))
+                    expected = {kl: _cmul(scale, v) for kl, v in base.items()}
+                    assert from_series(to_series(order, a) * to_series(order, b)) == expected
+
+
+def test_imaginary_by_real_product():
+    rng = random.Random(23)
+    for order in (0, 3, 12):
+        for rows in (1, order + 1):
+            a = _dense(rng, rows, "imaginary")
+            b = _dense(rng, order + 1, "real")
+            for x, y in ((a, b), (b, a), (a, a)):
+                prod = to_series(order, x) * to_series(order, y)
+                assert from_series(prod) == ref_mul(x, y, order)
 
 
 @settings(ORACLE, max_examples=80)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartanq import transverse
 from cartanq.errors import InvalidFiberPointError
 from cartanq.expr import parse_expression
 from cartanq.gaussrat import GaussianRational
 from cartanq.multipoly import VARIABLES
-from cartanq.surface import SurfaceChart, cartan_r, gauss_curvature
+from cartanq.surface import SurfaceChart, cartan_r, gauss_curvature, qisgauss_residuals
 from cartanq.transverse import (
     FiberPoint,
     PseudohermitianChart,
@@ -167,3 +168,27 @@ def test_trans_intermediates_nontrivial():
     assert not R.is_zero
     assert not gauss_curvature(pc.base).is_zero
     assert not cartan_r(pc.base).is_zero
+
+
+def test_r_residuals_detect_a_wrong_sign_of_R(monkeypatch):
+    # the R residuals come from the K residuals and K - 2R by linearity; a
+    # sign error in R must still show in both of them and in K - 2R
+    inner = transverse.scalar_curvature_R
+    monkeypatch.setattr(transverse, "scalar_curvature_R", lambda chart: -inner(chart))
+    pc = pchart(SurfaceChart(random_positive_metric(random.Random(11), 12)))
+    res1, res2 = check_qisgauss_trans(pc)
+    assert not res1.is_zero and not res2.is_zero
+    assert not k_equals_2r_residual(pc).is_zero
+
+
+def test_r_residuals_reuse_the_k_residuals(products):
+    # once the K residuals and R exist, the R residuals multiply only by the
+    # zero series K - 2R: no product of two nonzero series is made
+    pc = pchart(SurfaceChart(random_positive_metric(random.Random(11), 12)))
+    k1, k2 = qisgauss_residuals(pc.base)
+    scalar_curvature_R(pc)
+    products.clear()
+    res1, res2 = check_qisgauss_trans(pc)
+    assert res1.is_zero and res2.is_zero
+    assert products and all(a.is_zero or b.is_zero for a, b, _ in products)
+    assert qisgauss_residuals(pc.base) == (k1, k2)
