@@ -379,8 +379,6 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_quadrature(args) -> int:
-    import numpy as np
-
     from .quadrature import (
         CompactMetric,
         QuadratureScheme,
@@ -394,9 +392,7 @@ def _cmd_quadrature(args) -> int:
     scheme = QuadratureScheme(radial_panels=args.radial_panels,
                               rel_tolerance=args.tolerance)
 
-    area, area_err = integrate_surface(
-        lambda z: np.ones(z.shape), metric, scheme
-    )
+    area, area_err = integrate_surface(lambda u: 1.0, metric, scheme)
     checks = {
         "K": calabi_identity_check("K", metric, scheme),
         "u": calabi_identity_check([0, 1], metric, scheme),

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gaussrat import GaussianRational
 from .series import TruncatedSeries, _rational_sqrt
-from .surface import SurfaceChart, cartan_r, phi_from_rigid_defining
+from .surface import SurfaceChart, cartan_r, cartan_s, phi_from_rigid_defining
 from .transverse import FiberPoint, PseudohermitianChart, q11_representative
 
 
@@ -91,10 +91,8 @@ def is_spherical(chart: SurfaceChart, order: int) -> SphericityVerdict:
 
 
 def q11_at_origin(surface: RigidSurface) -> GaussianRational:
-    """Constant coefficient of s for the rigid chart, at lambda = 1."""
-    chart = PseudohermitianChart(surface.chart)
-    rep = q11_representative(chart, FiberPoint(GaussianRational(1)))
-    return rep.constant_value()
+    """Q;11 at the origin at lambda = 1: the constant coefficient s(0)."""
+    return cartan_s(surface.chart).constant_term
 
 
 def _family_a44(eps: Fraction, order: int) -> RigidSurface:

@@ -22,12 +22,12 @@ divisions are by powers of w, every G is one weighted term
 kept exactly as a Fraction coefficient list.  sympy only generates code: each
 evaluated G is lambdified once, so evaluation is vectorized numpy.
 
-Area integrals take circle-invariant integrands only, functions of |z|: the
-chart area's 1 and every integrand of the Calabi identity and of the rigidity
-demo, |f_{;zbar zbar}|^2 and f_{;zbar zbar z z} f, which have grade 0.  The
-angular integral of such an integrand is 2 pi times its value on the positive
-real axis, so it is evaluated once per node of composite 16-point
-Gauss-Legendre in u.
+Area integrals take circle-invariant integrands only, real functions of u:
+the chart area's 1 and every integrand of the Calabi identity and of the
+rigidity demo, |f_{;zbar zbar}|^2 and f_{;zbar zbar z z} f, which have grade
+0.  The angular integral of such an integrand is 2 pi times its value at
+|z| = sqrt(u / (1 - u)), so it is called once, on the float array of the nodes
+of composite 16-point Gauss-Legendre in u.
 """
 
 from __future__ import annotations
@@ -254,19 +254,6 @@ class RadialFunction:
                 / (1 - _U) ** self.m)
         return sp.lambdify(_U, expr, modules="numpy")
 
-    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized numeric evaluation at complex chart points.  A grade-0
-        function returns the real G(u) as a read-only array."""
-        g, k = self.of_u, self.k
-
-        def call(z):
-            z = np.asarray(z, dtype=complex)
-            rho = (z * z.conjugate()).real
-            g_u = g(rho / (1.0 + rho))
-            return g_u * z**k if k else np.broadcast_to(np.asarray(g_u, float), rho.shape)
-
-        return call
-
 
 class CompactMetric:
     """Rotationally invariant metric e^{2phi} on the sphere.
@@ -368,30 +355,33 @@ def _radial_rule(panels: int):
 
 def _integral_once(integrand, metric: CompactMetric, panels: int) -> float:
     """One pass of the radial rule on ``panels`` panels: the integrand is
-    called once, on the nodes z = r of the positive real axis as a 1-D complex
-    array.  w must be finite and positive at every node, and every integrand
-    sample, weighted sample and their sum finite: a profile whose values leave
-    the float range ends in one error that names a node, not in NaN or inf."""
+    called once, on the nodes u as a 1-D float array, and may return a scalar.
+    w must be finite and positive at every node, and every integrand sample,
+    weighted sample and their sum finite: a profile whose values leave the
+    float range ends in one error that names a node z = sqrt(u / (1 - u)), not
+    in NaN or inf."""
     u, du_w = _radial_rule(panels)
-    z = np.sqrt(u / (1.0 - u)).astype(complex)
+
+    def node_at(i):
+        return complex(np.sqrt(u[i] / (1.0 - u[i])))
 
     def require(ok, what):
         if not np.all(ok):
-            node = z[~ok][0]
+            node = node_at(np.flatnonzero(~ok)[0])
             raise QuadratureEvaluationError(f"{what} at node z = {node}", node=node)
 
     with np.errstate(all="ignore"):
         w_u = np.asarray(metric.w.of_u(u), dtype=float)
         require(np.isfinite(w_u) & (w_u > 0.0), "e^{2phi} is not finite and positive")
-        vals = np.broadcast_to(np.asarray(integrand(z)), z.shape)
+        vals = np.broadcast_to(np.asarray(integrand(u), dtype=float), u.shape)
         require(np.isfinite(vals), "non-finite integrand sample")
         # area element: w * (i/2) dz ^ dzbar = w * r dr dtheta with
         # r dr = du / (2 (1-u)^2); the angular integral is 2 pi, outside the sum
-        contrib = vals.real * du_w * w_u / (2.0 * (1.0 - u) ** 2)
+        contrib = vals * du_w * w_u / (2.0 * (1.0 - u) ** 2)
         total = 2.0 * np.pi * float(np.sum(contrib))
     if not np.isfinite(total):  # a contribution is not finite, or the sum overflows
         require(np.isfinite(contrib), "non-finite weighted integrand")
-        node = z[np.argmax(np.abs(contrib))]
+        node = node_at(np.argmax(np.abs(contrib)))
         raise QuadratureEvaluationError(
             f"the weighted integrand sums to {total}, its largest term at node z = {node}",
             node=node,
@@ -404,9 +394,9 @@ def integrate_surface(integrand, metric: CompactMetric, scheme: QuadratureScheme
     with a one-step Richardson error estimate from doubling the radial panels;
     returns (value, error_estimate).
 
-    The integrand must be a function of |z|: it is called on the positive
-    real axis only, and its angular integral is taken to be 2 pi times that
-    value."""
+    The integrand is a real function of u = z zbar / (1 + z zbar), called on
+    the float array of the radial nodes; its angular integral is 2 pi times
+    its value."""
     coarse = _integral_once(integrand, metric, scheme.radial_panels)
     fine = _integral_once(integrand, metric, 2 * scheme.radial_panels)
     return fine, abs(fine - coarse)
@@ -449,14 +439,13 @@ def calabi_identity_check(
 
 
 def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureScheme):
-    """Both sides of the identity.  Their integrands have grade 0, so they are
-    functions of |z|."""
-    fzz_eval = fzz.evaluator()
-    rf_eval = rf.evaluator()
-    pf_eval = pf.evaluator()
-
-    lhs, _ = integrate_surface(lambda z: np.abs(fzz_eval(z)) ** 2, metric, scheme)
-    rhs, _ = integrate_surface(lambda z: pf_eval(z) * rf_eval(z), metric, scheme)
+    """Both sides of the identity on the fine pass of the scheme, as functions
+    of u: |f_{;zbar zbar}|^2 = G(u)^2 (u / (1 - u))^k for fzz = z^k G, since
+    |z|^2 = u / (1 - u), and f_{;zbar zbar z z} f, a product of two grade-0
+    functions multiplied in floats."""
+    panels = 2 * scheme.radial_panels
+    lhs = _integral_once(lambda u: fzz.of_u(u) ** 2 * (u / (1.0 - u)) ** fzz.k, metric, panels)
+    rhs = _integral_once(lambda u: pf.of_u(u) * rf.of_u(u), metric, panels)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return CalabiCheck(
         lhs=lhs,
@@ -465,7 +454,7 @@ def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureSche
     )
 
 
-# Order of the Taylor chart behind the exact sphericity verdict of rigidity_demo
+# Least order of the Taylor chart behind rigidity_demo's exact sphericity verdict
 SYMBOLIC_ORDER = 12
 
 
@@ -490,6 +479,11 @@ def rigidity_demo(metric: CompactMetric, scheme: QuadratureScheme) -> RigidityRe
     cross-checked against the exact sphericity test on the Taylor expansion
     of the same metric at the chart center.  I2 and I4 are the Calabi check
     on K, integrated once per metric and scheme.
+
+    K_{;zbar zbar} = z^2 e^{c psi} p(u) / (1 - u)^m with p_j the first nonzero
+    coefficient, so r = -w^2 K_{;zbar zbar} / 12 starts at z^{2+j} zbar^j, and
+    a chart of order 2j + 6 or more sees it: is_spherical reads r through
+    order N - 4.
     """
     from .invariants import is_spherical
     from .surface import cartan_r
@@ -497,7 +491,8 @@ def rigidity_demo(metric: CompactMetric, scheme: QuadratureScheme) -> RigidityRe
     check = calabi_identity_check("K", metric, scheme)
     numeric_spherical = abs(check.lhs) < scheme.abs_tolerance
 
-    chart = metric.taylor_chart(SYMBOLIC_ORDER)
+    j = next((i for i, a in enumerate(metric.k_zbar_zbar.p) if a), 0)
+    chart = metric.taylor_chart(max(SYMBOLIC_ORDER, 2 * j + 6))
     r = cartan_r(chart)
     verdict = is_spherical(chart, r.order)
 

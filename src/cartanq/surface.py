@@ -43,7 +43,7 @@ class SurfaceChart:
     of the associated CR structure at the chart center).
     """
 
-    def __init__(self, e2phi: TruncatedSeries, provenance: str = "direct"):
+    def __init__(self, e2phi: TruncatedSeries):
         if not e2phi.real_flag:
             raise NotStrictlyPseudoconvexError("e^{2phi} must be a real series")
         c = e2phi.constant_term
@@ -52,7 +52,6 @@ class SurfaceChart:
                 f"e^{{2phi}} has non-positive value {c} at the chart center"
             )
         self.e2phi = e2phi
-        self.provenance = provenance
         self._cache = {}
 
     @property
@@ -102,8 +101,7 @@ class SurfaceChart:
 
     def __repr__(self):
         return (
-            f"SurfaceChart(order={self.order}, provenance={self.provenance!r}, "
-            f"e2phi(0)={self.e2phi.constant_term})"
+            f"SurfaceChart(order={self.order}, e2phi(0)={self.e2phi.constant_term})"
         )
 
 
@@ -130,15 +128,15 @@ def phi_from_line_bundle_metric(h: TruncatedSeries) -> SurfaceChart:
         raise NotStrictlyPseudoconvexError(
             f"-D Dbar log h = {c} at the center is not positive"
         )
-    return SurfaceChart(e2phi, provenance="from_line_bundle_metric")
+    return SurfaceChart(e2phi)
 
 
 def phi_from_rigid_defining(F: TruncatedSeries) -> SurfaceChart:
     """Chart of the rigid hypersurface Im w = F(z, zbar).
 
     Requires F = z zbar + (total degree >= 4); the realization f = -i D F
-    gives D fbar - Dbar f = 2i F_{z zbar}, i.e. e^{2phi} = 2 F_{z zbar}, with
-    the factor 2 at the origin recorded in the provenance.
+    gives D fbar - Dbar f = 2i F_{z zbar}, i.e. e^{2phi} = 2 F_{z zbar}, which
+    is 2 at the origin.
     """
     if not F.real_flag:
         raise MalformedDefiningFunctionError("F must be a real series")
@@ -150,7 +148,7 @@ def phi_from_rigid_defining(F: TruncatedSeries) -> SurfaceChart:
                 f"F has a forbidden low-degree term at {(k, l)}"
             )
     e2phi = F.diff("z").diff("zbar") * 2
-    return SurfaceChart(e2phi, provenance="from_rigid_defining")
+    return SurfaceChart(e2phi)
 
 
 def gauss_curvature(chart: SurfaceChart) -> TruncatedSeries:

@@ -118,6 +118,18 @@ def test_quadrature_check(capsys):
     assert report["residuals"]["calabi_identity_K"]["within_tolerance"] is True
 
 
+@pytest.mark.parametrize("n", range(7, 17))
+def test_quadrature_check_sees_high_degree_profiles(capsys, n):
+    """psi = u^n / 3 first shows in r at degree 2n - 4, beyond the degree 8 that
+    an order-12 chart verifies; the symbolic verdict must still say
+    non-spherical, as the numeric one does."""
+    code, out = run(capsys, "quadrature-check", "--expr", f"u^{n}/3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"] == {"numeric_spherical": False, "symbolic_spherical": False}
+    assert report["residuals"]["rigidity_verdicts_consistent"]["within_tolerance"] is True
+
+
 def test_coeff_file_input(tmp_path, capsys):
     from cartanq.expr import parse_expression
 

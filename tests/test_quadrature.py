@@ -28,8 +28,8 @@ QUAD = CompactMetric([0, 0, Fraction(1, 100)])  # psi = u^2/100
 SCHEME = QuadratureScheme()
 
 
-def ones(z):
-    return np.ones(z.shape)
+def ones(u):
+    return np.ones(u.shape)
 
 
 # -- surface integrals ---------------------------------------------------------
@@ -47,8 +47,8 @@ def test_area_with_fiber_factor():
 
 
 def test_non_finite_integrand_reports_node():
-    def bad(z):
-        out = np.ones(z.shape)
+    def bad(u):
+        out = np.ones(u.shape)
         out[0] = np.nan
         return out
 
@@ -68,7 +68,7 @@ def test_float_range_is_checked():
         assert err.value.node is not None
     # every sample and contribution is finite, but the area integral is pi * 1e308
     with pytest.raises(QuadratureEvaluationError) as err:
-        integrate_surface(lambda z: np.full(z.shape, 1e308), FS, SCHEME)
+        integrate_surface(lambda u: np.full(u.shape, 1e308), FS, SCHEME)
     assert "sums to inf" in str(err.value) and err.value.node is not None
 
 
@@ -137,12 +137,11 @@ def test_rigidity_verdicts_stable_across_tolerances():
 
 
 def test_doubling_within_error_estimate():
-    integrands = [ones, FS.gauss_curvature.evaluator()]
+    integrands = [ones, FS.gauss_curvature.of_u]
     for metric in (FS, BUMP):
         for f in integrands:
-            g = lambda z, f=f: np.asarray(f(z)).real
-            value, err = integrate_surface(g, metric, SCHEME)
-            refined, _ = integrate_surface(g, metric, SCHEME.refined())
+            value, err = integrate_surface(f, metric, SCHEME)
+            refined, _ = integrate_surface(f, metric, SCHEME.refined())
             assert abs(refined - value) <= max(err, 1e-13)
 
 
@@ -299,21 +298,19 @@ def test_quadrature_cost_is_bounded(monkeypatch):
 
     monkeypatch.setattr(CompactMetric, "covariant_zbar_zbar", counted_covariant)
     passes = []
+    nodes = []
     integral_once = quadrature._integral_once
 
     def counted_integral_once(integrand, metric, panels):
         passes.append(panels)
-        return integral_once(integrand, metric, panels)
+
+        def counted(u):
+            nodes.append((u.dtype, u.ndim, u.size))
+            return integrand(u)
+
+        return integral_once(counted, metric, panels)
 
     monkeypatch.setattr(quadrature, "_integral_once", counted_integral_once)
-    points = []
-    evaluator = RadialFunction.evaluator
-
-    def counted_evaluator(self):
-        call = evaluator(self)
-        return lambda z: points.append(np.size(z)) or call(z)
-
-    monkeypatch.setattr(RadialFunction, "evaluator", counted_evaluator)
 
     metric = CompactMetric(BUMP.psi_coeffs)
     metric.k_zbar_zbar_z_z
@@ -326,10 +323,11 @@ def test_quadrature_cost_is_bounded(monkeypatch):
     assert derived.count(metric.gauss_curvature) == 1 and len(derived) == 2
     # w, K, K_{;zbar zbar}, K_{;zbar zbar z z}, f and its two derivatives
     assert len(compiled) == len(set(compiled)) <= 7
-    # the rigidity demo reuses the Calabi check on K
-    assert len(passes) == integrated == 8
-    # each circle-invariant integrand is evaluated once per radial node
-    assert points and max(points) <= 32 * SCHEME.radial_panels
+    # one fine pass per side; the rigidity demo reuses the Calabi check on K
+    assert len(passes) == integrated == 4
+    # each integrand is a function of u, called once on the radial nodes
+    assert len(nodes) == 4
+    assert set(nodes) == {(np.dtype(float), 1, 32 * SCHEME.radial_panels)}
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)

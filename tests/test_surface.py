@@ -55,7 +55,6 @@ def test_chart_rejects_bad_metrics():
 def test_line_bundle_flat_case():
     chart = phi_from_line_bundle_metric(expand("exp(-z*zb)"))
     assert chart.e2phi == TruncatedSeries.constant(1, N - 2)
-    assert chart.provenance == "from_line_bundle_metric"
 
 
 def test_line_bundle_round_case():
