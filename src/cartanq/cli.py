@@ -522,9 +522,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value may start with a minus sign: an expression such as
+# -90*u or a rational such as -1/2, which argparse would take for an option.
+_SIGNED_VALUE_FLAGS = frozenset({"--expr", "--probes", "--lambda"})
+
+
+def _join_signed_values(argv):
+    """Writes ``--expr -90*u`` as ``--expr=-90*u``, for each flag of
+    _SIGNED_VALUE_FLAGS followed by an element that starts with a single
+    ``-``.  A following ``--option`` is left alone and stays a usage error."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _SIGNED_VALUE_FLAGS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (CartanQError, OSError) as exc:

@@ -20,7 +20,13 @@ divisions are by powers of w, every G is one weighted term
     G' = e^{c psi} (1 - u)^{-m - 1} [(c psi' p + p') (1 - u) + m p],
 
 kept exactly as a Fraction coefficient list.  sympy only generates code: each
-evaluated G is lambdified once, so evaluation is vectorized numpy.
+evaluated G is lambdified once, so evaluation is vectorized numpy.  Three
+settings cut the sympy work around each compilation: the symbol u carries no
+assumptions, which would otherwise be queried for every product and power
+built from it; lambdify gets docstring_limit=0, so it does not render each
+expression to a string for a docstring; and the numpy printer has order
+"none", so it prints sums and products in sympy's canonical argument order,
+which does not depend on string hashing, instead of sorting them for display.
 
 Area integrals take circle-invariant integrands only, real functions of u:
 the chart area's 1 and every integrand of the Calabi identity and of the
@@ -42,12 +48,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .errors import QuadratureEvaluationError
 from .series import TruncatedSeries, exp_series
 from .surface import SurfaceChart
 
-_U = sp.Symbol("u", nonnegative=True)
+_U = sp.Symbol("u")
 
 
 # -- ascending coefficient lists over Q ------------------------------------------------
@@ -252,7 +259,13 @@ class RadialFunction:
         """G compiled once to a vectorized numpy function of u."""
         expr = (sp.exp(_rational(self.c) * _horner(self.psi)) * _horner(self.p)
                 / (1 - _U) ** self.m)
-        return sp.lambdify(_U, expr, modules="numpy")
+        # lambdify's own numpy printer settings plus order "none" (see the
+        # module docstring); a printer collects the modules its code imports,
+        # so each call builds a fresh one
+        printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
+                                "allow_unknown_functions": True, "user_functions": {},
+                                "order": "none"})
+        return sp.lambdify(_U, expr, modules="numpy", printer=printer, docstring_limit=0)
 
 
 class CompactMetric:

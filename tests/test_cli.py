@@ -28,15 +28,20 @@ def run(capsys, *argv):
     return code, out
 
 
-def run_rejected(capsys, argv):
-    """Returns (exit code, stdout, `error:` lines of stderr), also when
-    argparse rejects the argv."""
+def outcome(capsys, argv):
+    """Returns (exit code, stdout, stderr), also when argparse rejects the argv."""
     try:
         code = cli.main(list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    return code, captured.out, [l for l in captured.err.splitlines() if "error:" in l]
+    return code, captured.out, captured.err
+
+
+def run_rejected(capsys, argv):
+    """Returns (exit code, stdout, `error:` lines of stderr)."""
+    code, out, err = outcome(capsys, argv)
+    return code, out, [l for l in err.splitlines() if "error:" in l]
 
 
 def test_invariants_f44(capsys):
@@ -295,22 +300,75 @@ def test_chart_order_below_what_the_subcommand_needs_exits_1(capsys, argv):
     assert f"{argv[0]} needs a chart of order at least {need}" in errors[0]
 
 
-@pytest.mark.parametrize("psi", ["400*u", "-90*u", "-400*u"])
-def test_profile_outside_the_float_range_exits_1(psi):
-    """e^{2phi} overflows (400 u) or underflows (-400 u), or K_{;zbar zbar}
-    does (-90 u): one `error:` line and no numpy warning on stderr."""
-    env = dict(os.environ)
+# The node where the values leave the float range depends on the generated
+# evaluator code, so a change in code generation that moves it shows here.
+FLOAT_RANGE_ERRORS = {
+    "400*u": "error: e^{2phi} is not finite and positive at node z = (3.183694787762269+0j)",
+    "-90*u": "error: non-finite integrand sample at node z = (4.6121388751044+0j)",
+    "-400*u": "error: e^{2phi} is not finite and positive at node z = (3.7095288807711166+0j)",
+}
+
+
+def _run_cli(argv, **env):
+    """``python -m cartanq.cli`` in a subprocess with this checkout's package."""
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])]
         + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    done = subprocess.run(
-        [sys.executable, "-m", "cartanq.cli", "quadrature-check", f"--expr={psi}"],
+    return subprocess.run(
+        [sys.executable, "-m", "cartanq.cli", *argv],
         env=env, capture_output=True, text=True,
     )
+
+
+@pytest.mark.parametrize("psi", ["400*u", "-90*u", "-400*u"])
+def test_profile_outside_the_float_range_exits_1(psi):
+    """e^{2phi} overflows (400 u) or underflows (-400 u), or K_{;zbar zbar}
+    does (-90 u): one `error:` line naming the node and no numpy warning on
+    stderr."""
+    done = _run_cli(["quadrature-check", f"--expr={psi}"])
     assert (done.returncode, done.stdout) == (1, "")
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+    assert done.stderr.splitlines() == [FLOAT_RANGE_ERRORS[psi]], done.stderr
+
+
+def test_quadrature_report_does_not_depend_on_hash_order():
+    """The evaluators print sums and products in sympy's canonical argument
+    order, never in an order that string hashing could change."""
+    argv = ["quadrature-check", "--expr", "u^5/3-2/7*u^2+u/9"]
+    first, second = (_run_cli(argv, PYTHONHASHSEED=seed) for seed in ("0", "1"))
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quadrature-check", "--expr", "-90*u"),
+        ("quadrature-check", "--expr", "-u/10"),
+        ("sphericity", "--input-kind", "conformal_factor_e2phi", "--expr", "-z*zb+2",
+         "--order", "8"),
+        ("invariants", "--input-kind", "rigid_defining_F", "--expr", F44,
+         "--order", "12", "--lambda", "-1/2"),
+        ("calibrate-c", "--probes", "-1/10,-1/16,-1/25"),
+    ],
+    ids=["quadrature_error", "quadrature", "sphericity", "invariants_lambda",
+         "calibrate_probes"],
+)
+def test_value_with_a_leading_minus_may_follow_its_flag(capsys, argv):
+    """``--expr -90*u`` behaves as ``--expr=-90*u``."""
+    i = next(i for i, a in enumerate(argv) if a in ("--expr", "--probes", "--lambda")
+             and argv[i + 1].startswith("-"))
+    joined = (*argv[:i], f"{argv[i]}={argv[i + 1]}", *argv[i + 2:])
+    spaced = outcome(capsys, argv)
+    assert "usage:" not in spaced[2]
+    assert spaced == outcome(capsys, joined)
+
+
+def test_flag_followed_by_an_option_is_a_usage_error(capsys):
+    code, out, err = outcome(capsys, ["quadrature-check", "--expr", "--order", "12"])
+    assert (code, out) == (1, "")
+    assert "argument --expr: expected one argument" in err
 
 
 def test_unresolved_quadrature_exits_2_until_refined(capsys):
