@@ -424,7 +424,7 @@ def _cmd_quadrature(args) -> int:
         },
         residuals=residuals,
         verdicts={
-            "numeric_spherical": demo.numeric_spherical,
+            "closed_form_spherical": demo.closed_form_spherical,
             "symbolic_spherical": demo.symbolic_spherical,
         },
     )

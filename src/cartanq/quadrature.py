@@ -338,18 +338,10 @@ class QuadratureScheme:
 
     radial_panels: int = 4
     rel_tolerance: float = 1e-6
-    abs_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.radial_panels < 1:
             raise ValueError("need at least one radial panel (16 nodes)")
-
-    def refined(self) -> "QuadratureScheme":
-        return QuadratureScheme(
-            radial_panels=2 * self.radial_panels,
-            rel_tolerance=self.rel_tolerance,
-            abs_tolerance=self.abs_tolerance,
-        )
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -454,11 +446,14 @@ def calabi_identity_check(
 def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureScheme):
     """Both sides of the identity on the fine pass of the scheme, as functions
     of u: |f_{;zbar zbar}|^2 = G(u)^2 (u / (1 - u))^k for fzz = z^k G, since
-    |z|^2 = u / (1 - u), and f_{;zbar zbar z z} f, a product of two grade-0
-    functions multiplied in floats."""
+    |z|^2 = u / (1 - u), and f_{;zbar zbar z z} (f - f(0)), a product of two
+    grade-0 functions multiplied in floats.  f_{;zbar zbar z z} dA is a
+    divergence on the closed sphere, so its integral vanishes and f(0) does
+    not change the rhs; subtracting it keeps the O(1) part of f, which would
+    cancel only to rounding, out of the sum."""
     panels = 2 * scheme.radial_panels
     lhs = _integral_once(lambda u: fzz.of_u(u) ** 2 * (u / (1.0 - u)) ** fzz.k, metric, panels)
-    rhs = _integral_once(lambda u: pf.of_u(u) * rf.of_u(u), metric, panels)
+    rhs = _integral_once(lambda u: pf.of_u(u) * (rf.of_u(u) - rf.of_u(0.0)), metric, panels)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return CalabiCheck(
         lhs=lhs,
@@ -467,7 +462,7 @@ def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureSche
     )
 
 
-# Least order of the Taylor chart behind rigidity_demo's exact sphericity verdict
+# Least order of the Taylor chart behind rigidity_demo's cross-check
 SYMBOLIC_ORDER = 12
 
 
@@ -476,22 +471,23 @@ class RigidityReport:
     i2: float
     i4: float
     relative_gap: float
-    numeric_spherical: bool
+    closed_form_spherical: bool
     symbolic_spherical: bool
 
     @property
     def consistent(self) -> bool:
-        return self.numeric_spherical == self.symbolic_spherical
+        return self.closed_form_spherical == self.symbolic_spherical
 
 
 def rigidity_demo(metric: CompactMetric, scheme: QuadratureScheme) -> RigidityReport:
     """Quadrature realization of the compact rigidity mechanism.
 
     I2 = integral |K_{;zbar zbar}|^2 dA and I4 = integral P(K) K dA must
-    agree; the metric is spherical iff I2 vanishes, and the verdict is
-    cross-checked against the exact sphericity test on the Taylor expansion
-    of the same metric at the chart center.  I2 and I4 are the Calabi check
-    on K, integrated once per metric and scheme.
+    agree; they are the Calabi check on K, integrated once per metric and
+    scheme, and are reported as numbers.  The metric is spherical iff
+    K_{;zbar zbar} vanishes, which its canonical closed form decides exactly:
+    p is empty.  That verdict is cross-checked against the exact sphericity
+    test on the Taylor expansion of the same metric at the chart center.
 
     K_{;zbar zbar} = z^2 e^{c psi} p(u) / (1 - u)^m with p_j the first nonzero
     coefficient, so r = -w^2 K_{;zbar zbar} / 12 starts at z^{2+j} zbar^j, and
@@ -502,17 +498,15 @@ def rigidity_demo(metric: CompactMetric, scheme: QuadratureScheme) -> RigidityRe
     from .surface import cartan_r
 
     check = calabi_identity_check("K", metric, scheme)
-    numeric_spherical = abs(check.lhs) < scheme.abs_tolerance
-
-    j = next((i for i, a in enumerate(metric.k_zbar_zbar.p) if a), 0)
+    p = metric.k_zbar_zbar.p
+    j = next((i for i, a in enumerate(p) if a), 0)
     chart = metric.taylor_chart(max(SYMBOLIC_ORDER, 2 * j + 6))
-    r = cartan_r(chart)
-    verdict = is_spherical(chart, r.order)
+    verdict = is_spherical(chart, cartan_r(chart).order)
 
     return RigidityReport(
         i2=check.lhs,
         i4=check.rhs,
         relative_gap=check.relative_residual,
-        numeric_spherical=numeric_spherical,
+        closed_form_spherical=not p,
         symbolic_spherical=verdict.spherical,
     )

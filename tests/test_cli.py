@@ -119,19 +119,30 @@ def test_quadrature_check(capsys):
     code, out = run(capsys, "quadrature-check", "--expr", "u*(1-u)/10")
     assert code == 0
     report = json.loads(out)
-    assert report["verdicts"]["numeric_spherical"] is False
+    assert report["verdicts"]["closed_form_spherical"] is False
     assert report["residuals"]["calabi_identity_K"]["within_tolerance"] is True
 
 
-@pytest.mark.parametrize("n", range(7, 17))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_quadrature_check_sees_high_degree_profiles(capsys, n):
     """psi = u^n / 3 first shows in r at degree 2n - 4, beyond the degree 8 that
-    an order-12 chart verifies; the symbolic verdict must still say
-    non-spherical, as the numeric one does."""
+    an order-12 chart verifies once n > 6; the symbolic verdict must still say
+    non-spherical, as the closed form does."""
     code, out = run(capsys, "quadrature-check", "--expr", f"u^{n}/3")
     assert code == 0
     report = json.loads(out)
-    assert report["verdicts"] == {"numeric_spherical": False, "symbolic_spherical": False}
+    assert report["verdicts"] == {"closed_form_spherical": False, "symbolic_spherical": False}
+    assert report["residuals"]["rigidity_verdicts_consistent"]["within_tolerance"] is True
+
+
+@pytest.mark.parametrize("n", [300, 10**3, 10**4, 10**5])
+def test_quadrature_check_near_spherical_profiles(capsys, n):
+    """psi = u/n is not spherical however small i2 = O(n^-4) is, and its
+    Calabi identity on K holds to the relative tolerance."""
+    code, out = run(capsys, "quadrature-check", "--expr", f"u/{n}")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"] == {"closed_form_spherical": False, "symbolic_spherical": False}
     assert report["residuals"]["rigidity_verdicts_consistent"]["within_tolerance"] is True
 
 
@@ -306,6 +317,7 @@ FLOAT_RANGE_ERRORS = {
     "400*u": "error: e^{2phi} is not finite and positive at node z = (3.183694787762269+0j)",
     "-90*u": "error: non-finite integrand sample at node z = (4.6121388751044+0j)",
     "-400*u": "error: e^{2phi} is not finite and positive at node z = (3.7095288807711166+0j)",
+    "-360": "error: non-finite integrand sample at node z = (0.02574646932566577+0j)",
 }
 
 
@@ -322,11 +334,12 @@ def _run_cli(argv, **env):
     )
 
 
-@pytest.mark.parametrize("psi", ["400*u", "-90*u", "-400*u"])
+@pytest.mark.parametrize("psi", FLOAT_RANGE_ERRORS)
 def test_profile_outside_the_float_range_exits_1(psi):
-    """e^{2phi} overflows (400 u) or underflows (-400 u), or K_{;zbar zbar}
-    does (-90 u): one `error:` line naming the node and no numpy warning on
-    stderr."""
+    """e^{2phi} overflows (400 u) or underflows (-400 u), K_{;zbar zbar}
+    does (-90 u), or K overflows everywhere, its value at the chart centre
+    included (-360): one `error:` line naming the node and no numpy warning
+    on stderr."""
     done = _run_cli(["quadrature-check", f"--expr={psi}"])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.splitlines() == [FLOAT_RANGE_ERRORS[psi]], done.stderr
@@ -371,7 +384,7 @@ def test_flag_followed_by_an_option_is_a_usage_error(capsys):
     assert "argument --expr: expected one argument" in err
 
 
-def test_unresolved_quadrature_exits_2_until_refined(capsys):
+def test_unresolved_quadrature_exits_2_until_more_panels(capsys):
     code, _ = run(capsys, "quadrature-check", "--expr", "100*u")
     assert code == 2
     code, _ = run(capsys, "quadrature-check", "--expr", "100*u", "--radial-panels", "16")
@@ -422,6 +435,17 @@ def test_readme_cli_table_matches_the_parser():
         for name, sub in subparsers.choices.items()
     }
     assert documented == parsed
+
+
+def test_readme_names_the_quadrature_verdicts(capsys):
+    """README lists exactly the verdict keys that quadrature-check prints, and
+    names no other *_spherical key."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Its\s+report\s+holds\s+\w+\s+rigidity\s+verdicts,\s+(.*?)\.", readme)[1]
+    _, out = run(capsys, "quadrature-check")
+    printed = set(json.loads(out)["verdicts"])
+    assert set(re.findall(r"`(\w+)`", sentence)) == printed
+    assert set(re.findall(r"`(\w+_spherical)`", readme)) == printed
 
 
 # -- fuzz: every argv ends as exit 0, 1 or 2, never as an exception --------------------
