@@ -25,10 +25,6 @@ class NormalFormViolationError(MalformedDefiningFunctionError):
     """Defining series violates the normal-form trace conditions."""
 
 
-class RepresentationError(CartanQError):
-    """Requested quantity has no exact rational representation on this chart."""
-
-
 class InvalidFiberPointError(CartanQError):
     """Fiber point with lambda = 0."""
 

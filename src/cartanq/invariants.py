@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     NormalFormViolationError,
 )
 from .gaussrat import GaussianRational
-from .series import TruncatedSeries, _rational_sqrt
+from .series import TruncatedSeries
 from .surface import SurfaceChart, cartan_r, cartan_s, phi_from_rigid_defining
 from .transverse import FiberPoint, PseudohermitianChart, q11_representative
 
@@ -208,6 +209,16 @@ class ScalingCheck:
     @property
     def exact(self) -> bool:
         return not self.residual
+
+
+def _rational_sqrt(q: Fraction):
+    """Exact square root of a positive rational, or None if irrational."""
+    if q <= 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 def weight3_scaling(chart: PseudohermitianChart, ts):

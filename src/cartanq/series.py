@@ -545,7 +545,7 @@ def _inv_root(f: TruncatedSeries, x: TruncatedSeries, p: int) -> TruncatedSeries
     O(2m + 2) for every p >= 1, since the step is Newton's for x^-p - f."""
     def step(x, m, n):
         re, im, _ = x._lists(n - m - 1)
-        return x - _series(n, x._den * p, re, im) * _plus(f.truncated(n) * x ** p, -1)
+        return x - _series(n, x._den * p, re, im) * _plus(f * x ** p, -1)
 
     return _newton(f.order, x, step)
 
@@ -580,29 +580,10 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
 
     def step(g, m, n):
         nonlocal h
-        t = _euler(_lift(h, n, n - m - 1) * (g * es.truncated(n) - _euler(g)), inverse=True)
+        t = _euler(_lift(h, n, n - m - 1) * (g * es - _euler(g)), inverse=True)
         g = g + _lift(g, n, n - m - 1) * t
         h = _inv_root(g, h, 1) if n < s.order else h
         return g
 
     return _newton(s.order, h, step)
-
-
-def _rational_sqrt(q: Fraction):
-    """Exact square root of a positive rational, or None if irrational."""
-    if q <= 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def inv_sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    """1/sqrt(s) by Newton iteration; s(0) must be the square of a positive rational."""
-    c = s.constant_term
-    root = None if c.im else _rational_sqrt(c.re)
-    if root is None:
-        raise SeriesDomainError(f"sqrt of constant term {c} is not a positive rational square")
-    return _inv_root(s, TruncatedSeries.constant(1 / root, _start(s)), 2)
 

@@ -9,31 +9,22 @@ chart datum the downstream formulas consume.
 
 Covariant derivatives in the unitary coframe e^{phi} dz are applied letter by
 letter; each letter lowers the exact order by one and contributes a factor
-e^{-phi}, tracked as an integer exponent so odd-letter words are detected
-instead of silently losing exactness.
+e^{-phi}.  A word of L letters therefore carries e^{-L phi}, a power of w only
+when L is even, so only even words are accepted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable
 
 from .errors import (
     InsufficientOrderError,
     MalformedDefiningFunctionError,
     NotStrictlyPseudoconvexError,
-    RepresentationError,
-    SeriesDomainError,
 )
 from .gaussrat import GaussianRational
-from .series import (
-    TruncatedSeries,
-    inv_sqrt_series,
-    log1p_series,
-    reciprocal,
-)
-
-CovariantWord = Tuple[str, ...]
+from .series import TruncatedSeries, log1p_series, reciprocal
 
 
 class SurfaceChart:
@@ -87,17 +78,11 @@ class SurfaceChart:
     @property
     def b(self) -> TruncatedSeries:
         """b = 2 D phi = D(e^{2phi}) / e^{2phi}; exact order N - 1."""
-        return self._cached(
-            "b", lambda: self.e2phi.diff("z") * self.w_power(-1).truncated(self.order - 1)
-        )
+        return self._cached("b", lambda: self.e2phi.diff("z") * self.w_power(-1))
 
     @property
     def bbar(self) -> TruncatedSeries:
         return self._cached("bbar", lambda: self.b.conjugate())
-
-    def ephi_inv(self) -> TruncatedSeries:
-        """e^{-phi} = 1/sqrt(w); exists exactly only when w(0) is a rational square."""
-        return self._cached("ephi_inv", lambda: inv_sqrt_series(self.e2phi))
 
     def __repr__(self):
         return (
@@ -160,8 +145,7 @@ def gauss_curvature(chart: SurfaceChart) -> TruncatedSeries:
         dw = w.diff("z")
         dbw = w.diff("zbar")
         ddw = dw.diff("zbar")
-        inv3 = chart.w_power(-3).truncated(chart.order - 2)
-        return (w * ddw - dw * dbw) * inv3 * Fraction(-2)
+        return (w * ddw - dw * dbw) * chart.w_power(-3) * Fraction(-2)
 
     return chart._cached("K", make)
 
@@ -169,47 +153,35 @@ def gauss_curvature(chart: SurfaceChart) -> TruncatedSeries:
 def covariant_derivative(
     f: TruncatedSeries, word: Iterable[str], chart: SurfaceChart
 ) -> TruncatedSeries:
-    """Repeated covariant derivative of f in the unitary coframe e^{phi} dz.
+    """Repeated covariant derivative of f in the unitary coframe e^{phi} dz,
+    for a word of an even number L of letters 'z' and 'zbar'.
 
-    Each letter of the word ('z' or 'zbar') applies one step of the
-    first-order recursion, starting from base bidegree (0, 0).  The running
-    e^{-phi} factors are kept as an exponent; an odd letter count therefore
-    needs e^{phi} itself, which only exists exactly when e^{2phi}(0) is a
-    rational square.
+    After k letters z and l letters zbar the value is S e^{-(k+l) phi}; the
+    next z letter makes S <- D S - k b S and the next zbar letter
+    S <- Dbar S - l bbar S, so the first of each needs no product.  The
+    result is S w^{-L/2}.
     """
     word = tuple(word)
     if len(word) > f.order:
         raise InsufficientOrderError(
             f"word of length {len(word)} exceeds available order {f.order}"
         )
+    if len(word) % 2:
+        raise ValueError(f"covariant word {word!r} has an odd number of letters")
     S = f
-    m = 0  # value = S * e^{m phi}
     k = l = 0
     for letter in word:
-        n = S.order - 1
         if letter == "z":
-            coef = Fraction(m + (l - k), 2)
-            S = S.diff("z") + chart.b.truncated(n) * S.truncated(n) * coef
+            var, b, coef = "z", chart.b, -k
             k += 1
         elif letter in ("zbar", "zb"):
-            coef = Fraction(m + (k - l), 2)
-            S = S.diff("zbar") + chart.bbar.truncated(n) * S.truncated(n) * coef
+            var, b, coef = "zbar", chart.bbar, -l
             l += 1
         else:
             raise ValueError(f"unknown covariant letter {letter!r}")
-        m -= 1
-    if m % 2:
-        try:
-            half = chart.ephi_inv()
-        except SeriesDomainError as exc:
-            raise RepresentationError(
-                "odd-letter covariant word on a chart whose e^{phi} is irrational "
-                "at the center; use a word with an even number of letters, or a "
-                "chart whose e^{2phi}(0) is a rational square"
-            ) from exc
-        S = S * half.truncated(S.order)
-    k = (m + 1) // 2  # e^{m phi} = w^k, times e^{-phi} when m is odd
-    return S * chart.w_power(k).truncated(S.order) if k else S
+        dS = S.diff(var)
+        S = dS + b * S.truncated(dS.order) * coef if coef else dS
+    return S * chart.w_power(-len(word) // 2)
 
 
 def cartan_r(chart: SurfaceChart) -> TruncatedSeries:

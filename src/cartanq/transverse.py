@@ -68,9 +68,7 @@ def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
     genuine cross-check; exact order N - 2.  Derived once per chart.
     """
     base = chart.base
-    return base._cached(
-        "R", lambda: -(base.b.diff("zbar") * base.w_power(-1).truncated(base.order - 2))
-    )
+    return base._cached("R", lambda: -(base.b.diff("zbar") * base.w_power(-1)))
 
 
 @dataclass(frozen=True)

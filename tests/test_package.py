@@ -45,6 +45,30 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
+def _name(node):
+    """The class name that a raise or a base refers to, or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    """An error class that no module raises and no class extends is dead API."""
+    errors = ast.parse((PACKAGE_DIR / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                used.update(map(_name, node.bases))
+            elif isinstance(node, ast.Raise) and path.name != "errors.py":
+                used.add(_name(node.exc))
+    assert sorted(defined - used) == []
+
+
 def test_star_import_resolves_every_exported_name():
     """A name left in ``__all__`` after its definition is deleted fails here;
     the quadrature names resolve through the lazy ``__getattr__``."""

@@ -13,7 +13,6 @@ from cartanq.series import (
     TruncatedSeries,
     differentiate,
     exp_series,
-    inv_sqrt_series,
     log1p_series,
     reciprocal,
 )
@@ -126,16 +125,6 @@ def test_elementary_domain_errors():
         log1p_series(ONE(4))
     with pytest.raises(SeriesDomainError):
         reciprocal(Z(4))
-    with pytest.raises(SeriesDomainError):
-        inv_sqrt_series(TruncatedSeries.constant(2, 4))
-    with pytest.raises(SeriesDomainError):
-        inv_sqrt_series(TruncatedSeries.constant(-4, 4))
-
-
-def test_sqrt_of_square_constant():
-    s = TruncatedSeries.constant(Fraction(9, 4), 4) + TruncatedSeries.monomial(1, 1, 1, 4)
-    root = s * inv_sqrt_series(s)
-    assert (root * root) == s
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 12, 31, 32, 48])

@@ -12,7 +12,6 @@ order 0, and operands of unequal order.
 import random
 from datetime import timedelta
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,6 @@ from cartanq.series import (
     TruncatedSeries,
     exp_series,
     log1p_series,
-    inv_sqrt_series,
     reciprocal,
 )
 
@@ -117,17 +115,6 @@ def ref_exp(v, n):
 
 def ref_log1p(v, n):
     return ref_maclaurin(v, n, [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, n + 1)])
-
-
-def ref_sqrt(a, n):
-    """sqrt of a series whose constant term is c^2, c > 0 rational: c sqrt(1 + v)."""
-    c2 = a[(0, 0)][0]
-    c = Fraction(isqrt(c2.numerator), isqrt(c2.denominator))
-    v = _clean({kl: (x / c2, y / c2) for kl, (x, y) in a.items() if kl != (0, 0)})
-    taylor = [Fraction(1)]  # binomial coefficients C(1/2, j)
-    for j in range(1, n + 1):
-        taylor.append(taylor[-1] * (Fraction(1, 2) - (j - 1)) / j)
-    return {kl: (x * c, y * c) for kl, (x, y) in ref_maclaurin(v, n, taylor).items()}
 
 
 # -- conversion ------------------------------------------------------------------
@@ -399,26 +386,3 @@ def test_exp_and_log1p_match_schoolbook(ops):
     assert from_series(log1p_series(s)) == ref_log1p(v, n)
     with pytest.raises(SeriesDomainError):
         exp_series(to_series(n, {(0, 0): (Fraction(1), Fraction(0)), **v}))
-
-
-@settings(ORACLE, max_examples=80)
-@given(operands())
-def test_sqrt_matches_schoolbook(ops):
-    n, a, _, _ = ops
-    # a positive rational square as the constant term, from the draw itself
-    root = abs(a.get((0, 0), (Fraction(0),))[0]) or Fraction(1)
-    a = {**a, (0, 0): (root * root, Fraction(0))}
-    s = to_series(n, a)
-    assert from_series(s * inv_sqrt_series(s)) == ref_sqrt(a, n)
-
-
-def _is_square(q):
-    return q > 0 and all(isqrt(x) ** 2 == x for x in (q.numerator, q.denominator))
-
-
-def test_ephi_on_charts_with_a_square_center(corpus):
-    square = [chart for chart in corpus if _is_square(chart.e2phi.constant_term.re)]
-    assert len(square) >= 3
-    for chart in square:
-        one = TruncatedSeries.constant(1, chart.order)
-        assert chart.ephi_inv() ** 2 * chart.e2phi == one

@@ -1,5 +1,6 @@
 """Surface pipeline: charts, curvature, covariant words, Cartan's r and s."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from cartanq.errors import (
     InsufficientOrderError,
     MalformedDefiningFunctionError,
     NotStrictlyPseudoconvexError,
-    RepresentationError,
 )
 from cartanq.expr import parse_expression
 from cartanq.gaussrat import GaussianRational
@@ -128,30 +128,46 @@ def test_covariant_kzbzb_closed_form():
     assert K2 == expand("-30*z^2*(1+z*zb)^-6", K2.order)
 
 
-def test_covariant_odd_word_needs_rational_sqrt():
-    # e^{2phi}(0) = 2 is not a rational square: odd words are unrepresentable
-    chart = f_eps_chart(Fraction(1, 10))
+@pytest.mark.parametrize("word", [("zbar",), ("z", "zbar", "z")])
+def test_covariant_odd_word_is_rejected(corpus, word):
+    # e^{-L phi} is a power of w only for even L, whatever w(0) is
+    for chart in corpus + [SurfaceChart(expand("4+z*zb", 8))]:
+        with pytest.raises(ValueError, match="odd number of letters"):
+            covariant_derivative(gauss_curvature(chart), word, chart)
+
+
+@pytest.mark.parametrize(
+    "word, count",
+    [
+        (("zbar", "zbar"), 2),
+        (("zbar", "zbar", "z", "z"), 3),
+        (("z", "zbar", "z", "zbar"), 3),
+    ],
+)
+def test_covariant_word_product_count(products, word, count):
+    # the first z and the first zbar need no b product; one more makes w^{-L/2}
+    chart = SurfaceChart(random_positive_metric(random.Random(5), N))
     K = gauss_curvature(chart)
-    with pytest.raises(RepresentationError) as err:
-        covariant_derivative(K, ("zbar",), chart)
-    assert "an even number of letters" in str(err.value)
-    assert "e^{2phi}(0) is a rational square" in str(err.value)
-    # but on a chart with square constant term the odd word works
-    chart4 = SurfaceChart(expand("4+z*zb", 8))
-    K4 = gauss_curvature(chart4)
-    assert covariant_derivative(K4, ("zbar",), chart4).order == K4.order - 1
+    chart.w_power(-2), chart.b, chart.bbar  # derived first: only the word is counted
+    products.clear()
+    covariant_derivative(K, word, chart)
+    assert len(products) == count
 
 
-def test_covariant_odd_word_propagates_unexpected_errors(monkeypatch):
-    # only an irrational e^{phi} becomes a RepresentationError; a bug inside
-    # the e^{phi} computation must surface as itself
-    def broken(self):
-        raise TypeError("bug in ephi_inv")
-
-    monkeypatch.setattr(SurfaceChart, "ephi_inv", broken)
-    chart4 = SurfaceChart(expand("4+z*zb", 8))
-    with pytest.raises(TypeError, match="bug in ephi_inv"):
-        covariant_derivative(gauss_curvature(chart4), ("zbar",), chart4)
+@pytest.mark.parametrize(
+    "metric, commute",
+    [
+        ("(2+z+z^2/3)*(2+zb+zb^2/3)", True),  # |g'|^2: K = 0
+        ("1+z*zb+z^2*zb/3+z*zb^2/3", False),
+    ],
+)
+def test_covariant_words_commute_on_flat_charts(metric, commute):
+    chart = SurfaceChart(expand(metric))
+    assert gauss_curvature(chart).is_zero == commute
+    f = expand("3*z - zb^2/2 + z^2*zb + 5*z^3*zb^2/7 - z*zb^4 + z^6*zb")
+    for letters in (("z", "z", "zbar", "zbar"), ("z",) * 3 + ("zbar",) * 3):
+        values = {covariant_derivative(f, w, chart) for w in itertools.permutations(letters)}
+        assert (len(values) == 1) == commute
 
 
 def test_covariant_word_length_guard():
