@@ -387,7 +387,7 @@ def _cmd_quadrature(args) -> int:
         rigidity_demo,
     )
 
-    psi = parse_radial_polynomial(args.expr) if args.expr else []
+    psi = parse_radial_polynomial(args.expr) if args.expr is not None else []
     metric = CompactMetric(psi)
     scheme = QuadratureScheme(radial_panels=args.radial_panels,
                               rel_tolerance=args.tolerance)
@@ -510,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("quadrature-check",
                           help="compact-manifold quadrature verification")
     sub.add_argument("--expr",
-                     help="profile psi, a polynomial in u of degree at most 16")
+                     help="profile psi, a polynomial in u of degree at most 16 "
+                     "(omitted: psi = 0, the Fubini-Study metric)")
     _add_output_flags(sub)
     sub.add_argument("--radial-panels", type=_int_in(1, MAX_RADIAL_PANELS), default=4,
                      help=f"Gauss-Legendre panels in u, 1 to {MAX_RADIAL_PANELS} "

@@ -20,13 +20,16 @@ divisions are by powers of w, every G is one weighted term
     G' = e^{c psi} (1 - u)^{-m - 1} [(c psi' p + p') (1 - u) + m p],
 
 kept exactly as a Fraction coefficient list.  sympy only generates code: each
-evaluated G is lambdified once, so evaluation is vectorized numpy.  Three
-settings cut the sympy work around each compilation: the symbol u carries no
-assumptions, which would otherwise be queried for every product and power
-built from it; lambdify gets docstring_limit=0, so it does not render each
-expression to a string for a docstring; and the numpy printer has order
-"none", so it prints sums and products in sympy's canonical argument order,
-which does not depend on string hashing, instead of sorting them for display.
+evaluated G is lambdified once, so evaluation is vectorized numpy, and sympy
+pays for printing alone.  The expression is built unevaluated, the Horner
+chains of p and psi times exp(c psi) and (1 - u)^-m, so sympy does no
+arithmetic on it: no flattening of sums and products, no assumption queries
+and no canonical ordering.  The symbol u carries no assumptions either.
+lambdify gets docstring_limit=0, so it does not render each expression to a
+string for a docstring, and the numpy printer has order "none", so it prints
+sums and products in the order they were built, which does not depend on
+string hashing, instead of sorting them.  The code names only exp, so it is
+compiled against exp alone, not against a copy of numpy's namespace.
 
 Area integrals take circle-invariant integrands only, real functions of u:
 the chart area's 1 and every integrand of the Calabi identity and of the
@@ -121,10 +124,19 @@ def _rational(a) -> sp.Rational:
 
 
 def _horner(p) -> sp.Expr:
-    expr = sp.Integer(0)
-    for a in reversed(p):
-        expr = expr * _U + _rational(a)
+    """The Horner chain of p as an unevaluated tree, zero terms left out."""
+    if not p:
+        return sp.Integer(0)
+    expr = _rational(p[-1])
+    for a in reversed(p[:-1]):
+        expr = sp.Mul(_U, expr, evaluate=False)
+        if a:
+            expr = sp.Add(expr, _rational(a), evaluate=False)
     return expr
+
+
+_ONE_MINUS_U = sp.Add(sp.Integer(1), sp.Mul(sp.Integer(-1), _U, evaluate=False),
+                      evaluate=False)
 
 
 @dataclass(frozen=True)
@@ -256,16 +268,30 @@ class RadialFunction:
 
     @cached_property
     def of_u(self) -> Callable[[np.ndarray], np.ndarray]:
-        """G compiled once to a vectorized numpy function of u."""
-        expr = (sp.exp(_rational(self.c) * _horner(self.psi)) * _horner(self.p)
-                / (1 - _U) ** self.m)
+        """G compiled once to a vectorized numpy function of u: the zero
+        function to the constant 0, any other G to its Horner chain times
+        exp(c psi) when c != 0 and times (1 - u)^-m when m != 0.  The tree is
+        built unevaluated, so sympy does no arithmetic on it, and its code
+        names only exp, so it is compiled against exp alone."""
+        # The printer splits a negative number that leads a product off it and
+        # multiplies it back into a single remaining factor with evaluated
+        # arithmetic, as in -2/3 * (1 - u); so u leads each Horner product,
+        # and p's chain, which may be such a number, closes the outer one.
+        factors = []
+        if self.c:
+            factors.append(sp.exp(sp.Mul(_rational(self.c), _horner(self.psi),
+                                         evaluate=False), evaluate=False))
+        if self.m:
+            factors.append(sp.Pow(_ONE_MINUS_U, -self.m, evaluate=False))
+        expr = sp.Mul(*factors, _horner(self.p), evaluate=False)
         # lambdify's own numpy printer settings plus order "none" (see the
         # module docstring); a printer collects the modules its code imports,
         # so each call builds a fresh one
         printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
                                 "allow_unknown_functions": True, "user_functions": {},
                                 "order": "none"})
-        return sp.lambdify(_U, expr, modules="numpy", printer=printer, docstring_limit=0)
+        return sp.lambdify(_U, expr, modules=[{"exp": np.exp}], printer=printer,
+                           docstring_limit=0)
 
 
 class CompactMetric:

@@ -346,8 +346,8 @@ def test_profile_outside_the_float_range_exits_1(psi):
 
 
 def test_quadrature_report_does_not_depend_on_hash_order():
-    """The evaluators print sums and products in sympy's canonical argument
-    order, never in an order that string hashing could change."""
+    """The evaluators print sums and products in the order their tree was
+    built, never in an order that string hashing could change."""
     argv = ["quadrature-check", "--expr", "u^5/3-2/7*u^2+u/9"]
     first, second = (_run_cli(argv, PYTHONHASHSEED=seed) for seed in ("0", "1"))
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
@@ -382,6 +382,28 @@ def test_flag_followed_by_an_option_is_a_usage_error(capsys):
     code, out, err = outcome(capsys, ["quadrature-check", "--expr", "--order", "12"])
     assert (code, out) == (1, "")
     assert "argument --expr: expected one argument" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quadrature-check", "--expr="),
+        ("quadrature-check", "--expr=  "),
+        ("sphericity", "--input-kind", "conformal_factor_e2phi", "--expr="),
+    ],
+    ids=["quadrature_empty", "quadrature_blank", "sphericity_empty"],
+)
+def test_empty_expression_exits_1(capsys, argv):
+    """An empty --expr is an input the parser rejects; it never stands for psi = 0."""
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, len(errors)) == (1, "", 1)
+
+
+def test_omitted_profile_is_fubini_study(capsys):
+    code, out = run(capsys, "quadrature-check")
+    report = json.loads(out)
+    assert code == 0 and report["input"]["psi"] == []
+    assert report["verdicts"] == {"closed_form_spherical": True, "symbolic_spherical": True}
 
 
 def test_unresolved_quadrature_exits_2_until_more_panels(capsys):

@@ -279,11 +279,20 @@ def test_closed_form_is_canonical():
 
 
 def test_quadrature_cost_is_bounded(monkeypatch):
-    """No sympy algebra, K_{;zbar zbar} derived once, each evaluated function
-    compiled once, over the operations of one quadrature-check."""
+    """No sympy algebra, not even the arithmetic of building an expression,
+    K_{;zbar zbar} derived once, each evaluated function compiled once, over
+    the operations of one quadrature-check."""
+    sp.core.cache.clear_cache()
     algebra = []
     for name in ("cancel", "expand", "simplify"):
         monkeypatch.setattr(sp, name, lambda *a, name=name, **kw: algebra.append(name))
+    flattened = []
+    for op in (sp.Mul, sp.Add):
+        def counted_flatten(cls, seq, flatten=op.flatten.__func__):
+            flattened.append(cls.__name__)
+            return flatten(cls, seq)
+
+        monkeypatch.setattr(op, "flatten", classmethod(counted_flatten))
     compiled = []
     lambdify = sp.lambdify
 
@@ -323,6 +332,7 @@ def test_quadrature_cost_is_bounded(monkeypatch):
     rigidity_demo(metric, SCHEME)
 
     assert algebra == []
+    assert flattened == []
     assert derived.count(metric.gauss_curvature) == 1 and len(derived) == 2
     # w, K, K_{;zbar zbar}, K_{;zbar zbar z z}, f and its two derivatives
     assert len(compiled) == len(set(compiled)) <= 7
@@ -408,6 +418,38 @@ def test_compiled_evaluators_match_direct_numpy(name):
     for rf in compiled:
         value = np.broadcast_to(rf.of_u(u), u.shape)
         np.testing.assert_allclose(value, _direct(rf, u), rtol=1e-13, atol=0)
+        # compiled against exp alone, so the code may read no other global
+        assert set(rf.of_u.__code__.co_names) <= {"exp"}
+
+
+EVALUATOR_EDGE_CASES = {
+    "zero": BUMP.w - BUMP.w,
+    "length_one_p": RadialFunction(0, -2, 0, [Fraction(-3, 7)], BUMP.psi_coeffs),
+    "c_zero": FS.w,
+    "m_negative": RadialFunction(0, -2, -3, [1, Fraction(1, 2)], BUMP.psi_coeffs),
+    "m_positive": RadialFunction(0, 4, 3, [Fraction(-1, 5), 0, 2], QUAD.psi_coeffs),
+    "constant_psi": CompactMetric([Fraction(1, 3)]).w,
+}
+
+
+def test_evaluator_edge_cases_have_their_forms():
+    cases = EVALUATOR_EDGE_CASES
+    assert (cases["zero"].c, cases["zero"].m, cases["zero"].p) == (0, 0, ())
+    assert len(cases["length_one_p"].p) == 1 and cases["length_one_p"].m == 0
+    assert cases["c_zero"].c == 0 and cases["c_zero"].m != 0
+    assert cases["m_negative"].m < 0 < cases["m_positive"].m
+    assert len(cases["constant_psi"].psi) == 1 and cases["constant_psi"].c != 0
+
+
+@pytest.mark.parametrize("name", EVALUATOR_EDGE_CASES)
+def test_evaluator_edge_cases_match_direct_numpy(name):
+    rf = EVALUATOR_EDGE_CASES[name]
+    u, _ = quadrature._radial_rule(2 * SCHEME.radial_panels)
+    value = np.broadcast_to(rf.of_u(u), u.shape)
+    np.testing.assert_allclose(value, _direct(rf, u), rtol=1e-13, atol=0)
+    assert set(rf.of_u.__code__.co_names) <= {"exp"}
+    if name == "zero":
+        assert np.all(value == 0.0)  # exact, and never nan
 
 
 @pytest.mark.parametrize("name", EVALUATOR_CASES)
