@@ -34,23 +34,23 @@ from .expr import parse_expression, print_expression
 
 __version__ = "0.1.0"
 
-# The quadrature layer pulls in numpy and sympy; it is imported on first use
-# of one of its names (PEP 562) so that the exact pipeline and the CLI start
-# without them.
-_QUADRATURE_NAMES = frozenset({
-    "CompactMetric",
-    "QuadratureScheme",
-    "calabi_identity_check",
-    "integrate_surface",
-    "rigidity_demo",
-})
+# The compact-metric names are imported on first use (PEP 562): the quadrature
+# layer pulls in numpy and sympy, and neither it nor the exact closed forms of
+# radial are needed by the exact pipeline and the CLI, which start without them.
+_LAZY_MODULES = {
+    "CompactMetric": "radial",
+    "QuadratureScheme": "quadrature",
+    "calabi_identity_check": "quadrature",
+    "integrate_surface": "quadrature",
+    "rigidity_demo": "quadrature",
+}
 
 
 def __getattr__(name):
-    if name in _QUADRATURE_NAMES:
-        from . import quadrature
+    if name in _LAZY_MODULES:
+        from importlib import import_module
 
-        return getattr(quadrature, name)
+        return getattr(import_module(f".{_LAZY_MODULES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

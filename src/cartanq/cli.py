@@ -60,9 +60,12 @@ MAX_RADIAL_PANELS = 32
 
 
 def _rat(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # more digits than a coefficient file may hold
+        raise CartanQError(f"cannot print a coefficient of the report: {exc}") from None
 
 
 def _grat(c: GaussianRational) -> str:
@@ -380,12 +383,12 @@ def _cmd_verify_identities(args) -> int:
 
 def _cmd_quadrature(args) -> int:
     from .quadrature import (
-        CompactMetric,
         QuadratureScheme,
         calabi_identity_check,
         integrate_surface,
         rigidity_demo,
     )
+    from .radial import CompactMetric
 
     psi = parse_radial_polynomial(args.expr) if args.expr is not None else []
     metric = CompactMetric(psi)

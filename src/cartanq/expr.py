@@ -12,11 +12,20 @@ Rational literals like 1/10 come out of the '/' operator on constants, which
 is exact.  'log' requires an argument with constant term 1; '/' requires a
 divisor with nonzero constant term; '^' accepts any integer exponent as long
 as the reciprocal is legal when it is negative.
+
+Numbers are bounded by CPython's limit on the digits of an integer string
+(sys.get_int_max_str_digits(), 4300 by default), the limit a coefficient file
+is read under: a longer literal is rejected, and so is a power whose exponent
+times the largest bit length among its base's numerators and denominators
+exceeds the bits of a number of that many digits.  The power is rejected
+before it is computed.
 """
 
 from __future__ import annotations
 
+import math
 import re as _re
+import sys
 
 from .errors import ExpressionSyntaxError, SeriesDomainError
 from .series import (
@@ -53,7 +62,11 @@ class _Tokenizer:
                     f"unexpected character {self.text[bad]!r}", bad
                 )
             if m.group(1) is not None:
-                self.tokens.append(("int", int(m.group(1)), m.start(1)))
+                try:
+                    value = int(m.group(1))
+                except ValueError as exc:  # more digits than the limit
+                    raise ExpressionSyntaxError(str(exc), m.start(1)) from None
+                self.tokens.append(("int", value, m.start(1)))
             elif m.group(2) is not None:
                 self.tokens.append(("name", m.group(2), m.start(2)))
             else:
@@ -73,6 +86,12 @@ class _Tokenizer:
 def _degree(s: TruncatedSeries) -> int:
     """Highest total degree with a nonzero coefficient; -1 for zero."""
     return max((k + l for k, l in s.coeffs), default=-1)
+
+
+def _bit_length(s: TruncatedSeries) -> int:
+    """Largest bit length among the numerators and denominators of s."""
+    return max((max(q.numerator.bit_length(), q.denominator.bit_length())
+                for c in s.coeffs.values() for q in (c.re, c.im)), default=0)
 
 
 class _Parser:
@@ -150,7 +169,7 @@ class _Parser:
 
     def _power(self) -> TruncatedSeries:
         base = self._atom()
-        kind, value, pos = self.toks.peek()
+        kind, value, caret = self.toks.peek()
         if kind == "op" and value == "^":
             self.toks.next()
             sign = 1
@@ -166,6 +185,12 @@ class _Parser:
                         "radial profile must be a polynomial: negative exponent", pos
                     )
                 self._fits(value * max(_degree(base), 0), pos)
+            # 0: no limit, as on CPython before 3.10.7, which has no such limit
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and value * _bit_length(base) > limit * math.log2(10):
+                raise ExpressionSyntaxError(
+                    f"power too large: its numbers may exceed {limit} digits", caret
+                )
             try:
                 return base ** (sign * value)
             except SeriesDomainError as exc:
@@ -234,13 +259,9 @@ def parse_radial_polynomial(text: str, max_degree: int = 16):
     exp(u) - 1, 1/(1+u^18) or u^17 is rejected instead of truncated.
     """
     s = _Parser(text, max_degree, radial=True).parse()
-    coeffs = {}
-    for (k, l), c in s.coeffs.items():
-        if l != 0:
-            raise ExpressionSyntaxError("radial profile must depend on u only", 0)
-        if c.im:
-            raise ExpressionSyntaxError("radial profile must be real", 0)
-        coeffs[k] = c.re
+    # u maps onto the z slot and the grammar has no literal for i, so every
+    # coefficient sits at (k, 0) and is real
+    coeffs = {k: c.re for (k, _), c in s.coeffs.items()}
     degree = max(coeffs, default=0)
     return [coeffs.get(j, 0) for j in range(degree + 1)]
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanq import cli
+from cartanq.series import TruncatedSeries
 from cartanq.seriesfile import dumps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -397,6 +398,50 @@ def test_empty_expression_exits_1(capsys, argv):
     """An empty --expr is an input the parser rejects; it never stands for psi = 0."""
     code, out, errors = run_rejected(capsys, argv)
     assert (code, out, len(errors)) == (1, "", 1)
+
+
+# one digit more than CPython's default limit on the digits of an integer string
+BIG = "1" + "0" * 4300
+E2PHI = ("sphericity", "--input-kind", "conformal_factor_e2phi", "--order", "14")
+
+
+@pytest.mark.parametrize(
+    "argv, parts",
+    [
+        ((*E2PHI, "--expr", "1+z*zb*" + BIG), ("value has 4301 digits", "(at position 7)")),
+        (("quadrature-check", "--expr", "u*" + BIG),
+         ("value has 4301 digits", "(at position 2)")),
+        ((*E2PHI, "--expr", "1+z*zb" + "*10^1000" * 5), ("cannot print a coefficient",)),
+    ],
+    ids=["sphericity_literal", "quadrature_literal", "sphericity_report"],
+)
+def test_numbers_beyond_the_digit_limit_exit_1(capsys, argv, parts):
+    """Every number a report prints can be read back with --coeff-file."""
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, len(errors)) == (1, "", 1)
+    assert all(part in errors[0] for part in parts)
+
+
+@pytest.mark.parametrize(
+    "argv, caret",
+    [
+        ((*E2PHI, "--expr", "1+z*zb*10^5000"), 9),
+        ((*E2PHI, "--expr", "1+z*zb*2^100000000/2^100000000"), 8),
+        (("quadrature-check", "--expr", "u*2^100000000/2^100000000"), 3),
+    ],
+    ids=["sphericity_10_5000", "sphericity_2_1e8", "quadrature_2_1e8"],
+)
+def test_power_beyond_the_digit_limit_exits_1_before_it_is_computed(
+    capsys, monkeypatch, argv, caret
+):
+    def refuse(self, n):
+        raise AssertionError(f"power {n} computed")
+
+    monkeypatch.setattr(TruncatedSeries, "__pow__", refuse)
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, len(errors)) == (1, "", 1)
+    assert errors[0].startswith("error: power too large")
+    assert errors[0].endswith(f"(at position {caret})")
 
 
 def test_omitted_profile_is_fubini_study(capsys):

@@ -1,6 +1,8 @@
 """Expression grammar: exact expansion, error positions, printer round trip."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,3 +106,45 @@ def test_variables_truncate_at_order_zero(text):
     # a variable has degree 1, so at order 0 it truncates as a product does
     assert parse_expression(text, 0) == TruncatedSeries.zero(0)
     assert parse_expression(f"2 + {text}", 0) == TruncatedSeries.constant(2, 0)
+
+
+# -- numbers beyond the digit limit ------------------------------------------------
+
+
+def _refuse_power(self, n):
+    raise AssertionError(f"power {n} computed")
+
+
+def test_literal_beyond_the_digit_limit_is_a_syntax_error():
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression("1 + " + big, 4)
+    assert err.value.position == 4
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_radial_polynomial("u*" + big)
+    assert err.value.position == 2
+
+
+@pytest.mark.parametrize("parse, text, caret", [
+    (parse_expression, "1+z*zb*2^100000000/2^100000000", 8),
+    (parse_expression, "1+z*zb*10^5000", 9),
+    (parse_expression, "(3+z)^-100000", 5),
+    (parse_expression, "(1/3+z*zb)^100000", 10),
+    (parse_radial_polynomial, "u*2^10000000", 3),
+])
+def test_power_beyond_the_digit_limit_is_rejected_before_it_is_computed(
+    monkeypatch, parse, text, caret
+):
+    monkeypatch.setattr(TruncatedSeries, "__pow__", _refuse_power)
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text, 14)
+    assert err.value.position == caret
+
+
+def test_power_cap_is_derived_from_the_digit_limit():
+    # 2 has bit length 2; 2^n is capped once 2 n exceeds the bits of a number
+    # with as many digits as the limit
+    n = math.floor(sys.get_int_max_str_digits() * math.log2(10) / 2)
+    assert parse_expression(f"2^{n}", 2).constant_term.re == 2**n
+    with pytest.raises(ExpressionSyntaxError):
+        parse_expression(f"2^{n + 1}", 2)

@@ -30,7 +30,45 @@ def test_exact_pipeline_imports_without_numpy_or_sympy():
         "from cartanq import CompactMetric\n"
         "print(CompactMetric.__module__)\n"
     )
-    assert out.splitlines() == ["[]", "cartanq.quadrature"]
+    assert out.splitlines() == ["[]", "cartanq.radial"]
+
+
+def test_exact_closed_forms_run_without_numpy_or_sympy():
+    """The closed forms of a compact metric, their Taylor chart and its exact
+    verdict need neither numpy nor sympy; only evaluating them does."""
+    out = _run_python(
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import cartanq.radial\n"
+        "from cartanq.invariants import is_spherical\n"
+        "metric = cartanq.radial.CompactMetric([0, Fraction(1, 10), Fraction(-1, 10)])\n"
+        "print(bool(metric.k_zbar_zbar_z_z.p))\n"
+        "chart = metric.taylor_chart(12)\n"
+        "print(is_spherical(chart, chart.order - 4).spherical)\n"
+        "from cartanq import CompactMetric\n"
+        "print(CompactMetric is cartanq.radial.CompactMetric)\n"
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n"
+    )
+    assert out.splitlines() == ["True", "False", "True", "[]"]
+
+
+def _imported_roots(tree):
+    """The top-level package of every import in a module, at any level."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_only_quadrature_imports_numpy_or_sympy():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        heavy = sorted(set(_imported_roots(tree)) & {"numpy", "sympy"})
+        if heavy and path.name != "quadrature.py":
+            offenders.append(f"{path.name}: {', '.join(heavy)}")
+    assert offenders == []
 
 
 def test_no_assert_statements_in_package():
