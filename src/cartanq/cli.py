@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import CartanQError
+from .errors import CartanQError, digit_limit_message
 from .expr import parse_expression, parse_radial_polynomial
 from .gaussrat import GaussianRational
 from .invariants import (
@@ -25,7 +25,7 @@ from .invariants import (
     weight3_scaling,
 )
 from .series import TruncatedSeries
-from .seriesfile import read_series
+from .seriesfile import read_rational, read_series
 from .surface import (
     SurfaceChart,
     cartan_r,
@@ -64,8 +64,13 @@ def _rat(q: Fraction) -> str:
         if q.denominator == 1:
             return str(q.numerator)
         return f"{q.numerator}/{q.denominator}"
-    except ValueError as exc:  # more digits than a coefficient file may hold
-        raise CartanQError(f"cannot print a coefficient of the report: {exc}") from None
+    except ValueError:  # more digits than a coefficient file may hold
+        n = max(abs(q.numerator), q.denominator)
+        digits = math.floor(n.bit_length() * math.log10(2)) + 1
+        digits -= n < 10 ** (digits - 1)
+        raise CartanQError(
+            f"cannot print a coefficient of the report: {digit_limit_message(digits)}"
+        ) from None
 
 
 def _grat(c: GaussianRational) -> str:
@@ -100,7 +105,9 @@ def _residual_entry(series: TruncatedSeries):
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return read_rational(text)
+    except OverflowError as exc:  # more digits than the limit
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
@@ -235,10 +242,10 @@ def _exit_code(residuals: dict) -> int:
     return 0
 
 
-def _bracket_entry(bracket) -> dict:
+def _bracket_entry(residual) -> dict:
     return {
-        "exact_zero": bracket.is_zero,
-        "value": "0" if bracket.is_zero else repr(bracket.residual),
+        "exact_zero": residual.is_zero,
+        "value": "0" if residual.is_zero else repr(residual),
     }
 
 

@@ -1,4 +1,20 @@
-"""Exception hierarchy for cartanq."""
+"""Exception hierarchy for cartanq, and the text of the errors about a number
+with more digits than the limit."""
+
+import sys
+
+
+def int_digit_limit() -> int:
+    """CPython's limit on the digits of an integer string; 0 means no limit,
+    as on CPython before 3.10.7, which has no such limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def digit_limit_message(digits: int) -> str:
+    return (
+        f"value has {digits} digits, more than the limit of {int_digit_limit()}; "
+        "set PYTHONINTMAXSTRDIGITS to raise it"
+    )
 
 
 class CartanQError(Exception):
@@ -6,7 +22,8 @@ class CartanQError(Exception):
 
 
 class OrderMismatchError(CartanQError):
-    """Binary series operation received operands of unequal truncation order."""
+    """A series' truncation order would be raised, or an order-0 series
+    differentiated: both would claim coefficients that are not known."""
 
 
 class SeriesDomainError(CartanQError):

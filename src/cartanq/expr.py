@@ -25,9 +25,13 @@ from __future__ import annotations
 
 import math
 import re as _re
-import sys
 
-from .errors import ExpressionSyntaxError, SeriesDomainError
+from .errors import (
+    ExpressionSyntaxError,
+    SeriesDomainError,
+    digit_limit_message,
+    int_digit_limit,
+)
 from .series import (
     TruncatedSeries,
     exp_series,
@@ -62,11 +66,10 @@ class _Tokenizer:
                     f"unexpected character {self.text[bad]!r}", bad
                 )
             if m.group(1) is not None:
-                try:
-                    value = int(m.group(1))
-                except ValueError as exc:  # more digits than the limit
-                    raise ExpressionSyntaxError(str(exc), m.start(1)) from None
-                self.tokens.append(("int", value, m.start(1)))
+                digits = len(m.group(1))
+                if 0 < int_digit_limit() < digits:
+                    raise ExpressionSyntaxError(digit_limit_message(digits), m.start(1))
+                self.tokens.append(("int", int(m.group(1)), m.start(1)))
             elif m.group(2) is not None:
                 self.tokens.append(("name", m.group(2), m.start(2)))
             else:
@@ -185,8 +188,7 @@ class _Parser:
                         "radial profile must be a polynomial: negative exponent", pos
                     )
                 self._fits(value * max(_degree(base), 0), pos)
-            # 0: no limit, as on CPython before 3.10.7, which has no such limit
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            limit = int_digit_limit()
             if limit and value * _bit_length(base) > limit * math.log2(10):
                 raise ExpressionSyntaxError(
                     f"power too large: its numbers may exceed {limit} digits", caret

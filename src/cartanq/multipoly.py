@@ -1,16 +1,11 @@
-"""Small multivariate polynomial ring over Gaussian rationals.
-
-Only what the Cartan-bundle bracket reduction needs: a fixed variable list,
-exact arithmetic, and evaluation at rational points.
-"""
+"""Small multivariate polynomial ring over Gaussian rationals: a fixed
+variable list and the exact arithmetic the Cartan-bundle bracket reduction uses."""
 
 from __future__ import annotations
 
 from .gaussrat import GaussianRational
 
 VARIABLES = ("b", "bbar", "mu", "mubar", "r", "X")
-_NVARS = len(VARIABLES)
-_ZERO_EXP = (0,) * _NVARS
 
 
 class MultiPoly:
@@ -18,28 +13,22 @@ class MultiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if not isinstance(c, GaussianRational):
-                    c = GaussianRational(c)
-                if c:
-                    clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        return cls({_ZERO_EXP: value})
+        if not isinstance(value, GaussianRational):
+            value = GaussianRational(value)
+        return cls({(0,) * len(VARIABLES): value})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        idx = VARIABLES.index(name)
-        exps = [0] * _NVARS
-        exps[idx] = 1
+        exps = [0] * len(VARIABLES)
+        exps[VARIABLES.index(name)] = 1
         return cls({tuple(exps): GaussianRational(1)})
 
     @property
@@ -47,24 +36,29 @@ class MultiPoly:
         return not self.terms
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, GaussianRational(0)) + c
+            acc = out.get(exps)
+            out[exps] = c if acc is None else acc + c
         return MultiPoly(out)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, GaussianRational(0)) - c
+            acc = out.get(exps)
+            out[exps] = -c if acc is None else acc - c
         return MultiPoly(out)
 
     def __neg__(self):
         return MultiPoly({exps: -c for exps, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -76,45 +70,11 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    @classmethod
-    def _coerce(cls, value) -> "MultiPoly":
-        if isinstance(value, MultiPoly):
-            return value
-        return cls.constant(value)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, assignments) -> GaussianRational:
-        """Exact value at a point given as {variable name: GaussianRational}."""
-        point = [GaussianRational(0)] * _NVARS
-        for name, value in assignments.items():
-            if not isinstance(value, GaussianRational):
-                value = GaussianRational(value)
-            point[VARIABLES.index(name)] = value
-        total = GaussianRational(0)
-        for exps, c in self.terms.items():
-            term = c
-            for base, e in zip(point, exps):
-                for _ in range(e):
-                    term = term * base
-            total = total + term
-        return total
-
     def __repr__(self):
         if self.is_zero:
             return "MultiPoly(0)"
         parts = []
         for exps, c in sorted(self.terms.items()):
-            mon = "*".join(
-                f"{name}^{e}" if e > 1 else name
-                for name, e in zip(VARIABLES, exps)
-                if e
-            )
+            mon = "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(VARIABLES, exps) if e)
             parts.append(f"({c})" + (f"*{mon}" if mon else ""))
         return "MultiPoly(" + " + ".join(parts) + ")"

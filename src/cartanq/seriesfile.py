@@ -11,11 +11,37 @@ normalized on the next write.  No float ever enters the round trip.
 
 from __future__ import annotations
 
+import re as _re
 from fractions import Fraction
 
-from .errors import CoefficientFileError
+from .errors import CoefficientFileError, digit_limit_message, int_digit_limit
 from .gaussrat import GaussianRational
 from .series import TruncatedSeries
+
+# The digit strings of a rational as Fraction reads it: integer part, then a
+# denominator or a decimal part and a signed exponent.  Fraction checks the syntax.
+_RATIONAL_DIGITS = _re.compile(
+    r"[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?)([\d_]+))?)"
+)
+
+
+def read_rational(text: str) -> Fraction:
+    """Fraction(text), refused with OverflowError before it is built when one
+    of its digit strings, or the numerator or denominator it makes as written
+    (exponent included, before reduction), has more digits than the limit.
+    Bad syntax raises ValueError or ZeroDivisionError, as in Fraction."""
+    limit = int_digit_limit()
+    m = _RATIONAL_DIGITS.fullmatch(text.strip())
+    if limit and m:
+        num, den, dec, sign, exp = (g.replace("_", "") for g in m.groups(""))
+        sizes = [len(num), len(den), len(dec), len(exp)]
+        if max(sizes) <= limit and not den:
+            e = int(sign + exp) if exp else 0
+            sizes += [len(num) + len(dec) + max(e, 0), 1 + len(dec) + max(-e, 0)]
+        for size in sizes:
+            if size > limit:
+                raise OverflowError(digit_limit_message(size))
+    return Fraction(text)
 
 
 def _format_rational(q: Fraction) -> str:
@@ -56,8 +82,8 @@ def loads(text: str) -> TruncatedSeries:
             )
         try:
             k, l = int(parts[0]), int(parts[1])
-            re, im = Fraction(parts[2]), Fraction(parts[3])
-        except (ValueError, ZeroDivisionError) as exc:
+            re, im = read_rational(parts[2]), read_rational(parts[3])
+        except (ValueError, ArithmeticError) as exc:
             raise CoefficientFileError(str(exc), lineno=lineno) from None
         if k < 0 or l < 0:
             raise CoefficientFileError(f"negative exponents {(k, l)}", lineno=lineno)

@@ -96,22 +96,11 @@ def q11_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberRepre
     return FiberRepresentative(series=cartan_s(chart.base), scale=scale)
 
 
-@dataclass(frozen=True)
-class BracketReport:
-    residual: MultiPoly
-    lhs: MultiPoly
-    rhs: MultiPoly
-
-    @property
-    def is_zero(self) -> bool:
-        return self.residual.is_zero
-
-
-def verify_bracket_identity(perturb: bool = False) -> BracketReport:
+def verify_bracket_identity(perturb: bool = False) -> MultiPoly:
     """Polynomial reduction of the Q;11 bracket on Cartan's bundle.
 
-    Checks, as an identity in the indeterminates (b, bbar, mu, mubar, r, X)
-    with X standing for L_1 r:
+    Returns the residual lhs - rhs of the identity, in the indeterminates
+    (b, bbar, mu, mubar, r, X) with X standing for L_1 r,
         (X - r b + i r mubar)(2A + 3 conj(B)) - i r conj(E)
             = -2 X b + 2 r b^2 - i X mubar
     with A = -(b + 2i mubar), B = -i mu, E = -mu(bbar - i mu).  With
@@ -120,8 +109,6 @@ def verify_bracket_identity(perturb: bool = False) -> BracketReport:
     """
     i = MultiPoly.constant(GaussianRational(0, 1))
     b = MultiPoly.var("b")
-    bbar = MultiPoly.var("bbar")
-    mu = MultiPoly.var("mu")
     mubar = MultiPoly.var("mubar")
     r = MultiPoly.var("r")
     X = MultiPoly.var("X")
@@ -135,7 +122,7 @@ def verify_bracket_identity(perturb: bool = False) -> BracketReport:
 
     lhs = (X - r * b + i * r * mubar) * (two * A + three * B_conj) - i * r * E_conj
     rhs = -(two * X * b) + two * r * b * b - i * X * mubar
-    return BracketReport(residual=lhs - rhs, lhs=lhs, rhs=rhs)
+    return lhs - rhs
 
 
 def check_qisgauss_trans(chart: PseudohermitianChart):

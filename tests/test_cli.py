@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanq import cli
+from cartanq import cli, seriesfile
 from cartanq.series import TruncatedSeries
 from cartanq.seriesfile import dumps
 
@@ -412,14 +412,40 @@ E2PHI = ("sphericity", "--input-kind", "conformal_factor_e2phi", "--order", "14"
         (("quadrature-check", "--expr", "u*" + BIG),
          ("value has 4301 digits", "(at position 2)")),
         ((*E2PHI, "--expr", "1+z*zb" + "*10^1000" * 5), ("cannot print a coefficient",)),
+        (("calibrate-c", "--probes", "1e200000,1/16,1/25"),
+         ("argument --probes: value has 200001 digits",)),
+        (("invariants", "--input-kind", "rigid_defining_F", "--expr", F44,
+          "--order", "8", "--lambda", "1e1000000"),
+         ("argument --lambda: value has 1000001 digits",)),
     ],
-    ids=["sphericity_literal", "quadrature_literal", "sphericity_report"],
+    ids=["sphericity_literal", "quadrature_literal", "sphericity_report",
+         "calibrate_probes", "invariants_lambda"],
 )
-def test_numbers_beyond_the_digit_limit_exit_1(capsys, argv, parts):
-    """Every number a report prints can be read back with --coeff-file."""
+def test_numbers_beyond_the_digit_limit_exit_1(capsys, monkeypatch, argv, parts):
+    """Every number a report prints can be read back with --coeff-file, and
+    every error about a number beyond the limit names the variable that
+    raises it.  A rational is rejected before it is built."""
+    monkeypatch.setattr(seriesfile, "Fraction", _refuse_fraction)
     code, out, errors = run_rejected(capsys, argv)
     assert (code, out, len(errors)) == (1, "", 1)
-    assert all(part in errors[0] for part in parts)
+    assert all(part in errors[0] for part in (*parts, "PYTHONINTMAXSTRDIGITS"))
+
+
+def _refuse_fraction(text):
+    raise AssertionError(f"Fraction({text[:20]!r}...) built")
+
+
+def test_coefficient_beyond_the_digit_limit_exits_1(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "big.coeffs"
+    path.write_text("order 4\n1 1 1e200000 0\n")
+    monkeypatch.setattr(seriesfile, "Fraction", _refuse_fraction)
+    code, out, errors = run_rejected(
+        capsys, (*E2PHI[:3], "--coeff-file", str(path), "--order", "4"))
+    assert (code, out) == (1, "")
+    assert errors == [
+        f"error: line 2: value has 200001 digits, more than the limit of "
+        f"{sys.get_int_max_str_digits()}; set PYTHONINTMAXSTRDIGITS to raise it"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """Coefficient-file format: exact round trip, canonical writing, error reporting."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
+from cartanq import seriesfile
 from cartanq.errors import CoefficientFileError
-from cartanq.seriesfile import dumps, loads, read_series, write_series
+from cartanq.seriesfile import dumps, loads, read_rational, read_series, write_series
 from cartanq.series import TruncatedSeries
 from conftest import random_series
 
@@ -61,3 +64,56 @@ def test_malformed_header_and_lines():
 def test_no_float_in_round_trip():
     text = dumps(TruncatedSeries(2, {(1, 1): 1}))
     assert "." not in text and "e" not in text.replace("order", "")
+
+
+# -- numbers beyond the digit limit ------------------------------------------------
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.fixture
+def unbuilt(monkeypatch):
+    """Fails a test that would build the Fraction of a rejected number."""
+
+    def refuse(text):
+        raise AssertionError(f"Fraction({text[:20]!r}...) built")
+
+    monkeypatch.setattr(seriesfile, "Fraction", refuse)
+
+
+@pytest.mark.parametrize("text", ["0.1", "-1/2", "1/10", "3", "2.5e-3", "-.5", "1_000"])
+def test_read_rational_reads_as_fraction(text):
+    assert read_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", [f"1e{LIMIT - 1}", f"1e-{LIMIT - 2}", "1" * LIMIT],
+    ids=["exponent", "negative_exponent", "integer"],
+)
+def test_read_rational_reads_up_to_the_digit_limit(text):
+    assert read_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text, digits", [
+    (f"1e{LIMIT}", LIMIT + 1),
+    (f"-1e-{LIMIT}", LIMIT + 1),
+    ("1e200000", 200001),
+    ("0e200000", 200001),
+    ("2.5e1000000", 1000002),
+    ("0." + "0" * (LIMIT - 1) + "1", LIMIT + 1),
+    ("1/" + "1" * (LIMIT + 1), LIMIT + 1),
+    ("1e" + "9" * (LIMIT + 1), LIMIT + 1),
+], ids=["exponent", "negative_exponent", "1e200000", "zero", "decimal_exponent",
+        "decimal", "denominator", "exponent_digits"])
+def test_read_rational_rejects_beyond_the_digit_limit_unbuilt(unbuilt, text, digits):
+    with pytest.raises(OverflowError) as err:
+        read_rational(text)
+    assert str(err.value).startswith(f"value has {digits} digits")
+    assert "PYTHONINTMAXSTRDIGITS" in str(err.value)
+
+
+def test_coefficient_beyond_the_digit_limit_unbuilt(unbuilt):
+    with pytest.raises(CoefficientFileError) as err:
+        loads("order 4\n1 1 1e200000 0\n")
+    assert err.value.lineno == 2
+    assert "value has 200001 digits" in str(err.value)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from cartanq import surface
 from cartanq.errors import (
@@ -204,6 +206,27 @@ def test_s_examples():
         assert cartan_s(f_eps_chart(eps)).constant_term == GaussianRational(96 * eps)
 
 
+def test_s_is_real(corpus):
+    """s is real, as Q;11 is; r is not, the control that real_flag can fail."""
+    for chart in corpus:
+        assert cartan_s(chart).real_flag
+    for seed in (11, 23, 47):
+        chart = SurfaceChart(random_positive_metric(random.Random(seed), N))
+        assert not cartan_r(chart).real_flag
+
+
+# Hypothesis's explain phase traces every line of a failing example, which
+# makes exact series arithmetic far too slow to be worth it.
+NO_EXPLAIN = tuple(p for p in Phase if p is not Phase.explain)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, phases=NO_EXPLAIN)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(6, 16))
+def test_s_is_real_on_random_metrics(seed, order):
+    chart = SurfaceChart(random_positive_metric(random.Random(seed), order))
+    assert cartan_s(chart).real_flag
+
+
 def test_sphericity_closure():
     # r = 0 through order forces s = 0 through its order
     for chart in (flat_chart(), round_sphere_chart()):
@@ -222,6 +245,63 @@ def test_qisgauss_identities_on_sample(corpus):
 def test_divergence_form_identity(corpus):
     for chart in corpus:
         assert divergence_form_residual(chart).is_zero
+
+
+# -- chart change ----------------------------------------------------------------------
+
+
+def holomorphic(coeffs, order):
+    """The polynomial sum_k coeffs[k] z^k as a series of the given order."""
+    return TruncatedSeries(order, {(k, 0): c for k, c in enumerate(coeffs) if c})
+
+
+def compose(f, g, order):
+    """f(g(z), conj(g)(zbar)) to the given order, for a holomorphic g = z + O(z^2),
+    summed from the powers of g and of its conjugate (products keep the lower
+    order of their factors)."""
+    gbar = g.conjugate()
+    g_pow, gbar_pow = [TruncatedSeries.constant(1, order)], [TruncatedSeries.constant(1, order)]
+    for _ in range(order):
+        g_pow.append(g_pow[-1] * g)
+        gbar_pow.append(gbar_pow[-1] * gbar)
+    out = TruncatedSeries.zero(order)
+    for (k, l), c in f.truncated(order).coeffs.items():
+        out = out + g_pow[k] * gbar_pow[l] * c
+    return out
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+gauss = st.builds(GaussianRational, small, small)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, phases=NO_EXPLAIN)
+@given(seed=st.integers(0, 2**32 - 1), a=gauss, b=gauss)
+def test_chart_change_covariance(seed, a, b):
+    """Under z -> g(z) = z + a z^2 + b z^3 the metric becomes
+    w' = (w o g) g' conj(g'); K is a scalar, K_{;zbar zbar} has weight
+    conj(g')/g', r weight g' conj(g')^3 and s weight |g'|^6, and every chart
+    identity still holds exactly."""
+    n = 12
+    w = random_positive_metric(random.Random(seed), n)
+    g = holomorphic([0, 1, a, b], n)
+    dg = holomorphic([1, a * 2, b * 3], n)
+    chart = SurfaceChart(w)
+    moved = SurfaceChart(compose(w, g, n) * dg * dg.conjugate())
+
+    K = gauss_curvature(moved)
+    assert K == compose(gauss_curvature(chart), g, K.order)
+    k2 = covariant_derivative(K, ("zbar", "zbar"), moved)
+    k2_base = covariant_derivative(gauss_curvature(chart), ("zbar", "zbar"), chart)
+    assert k2 == compose(k2_base, g, k2.order) * dg.conjugate() * reciprocal(dg)
+    r = cartan_r(moved)
+    assert r == compose(cartan_r(chart), g, r.order) * dg * dg.conjugate() ** 3
+    s = cartan_s(moved)
+    assert s == compose(cartan_s(chart), g, s.order) * (dg * dg.conjugate()) ** 3
+
+    pchart = PseudohermitianChart(moved)
+    residuals = [*qisgauss_residuals(moved), *check_qisgauss_trans(pchart),
+                 divergence_form_residual(moved), k_equals_2r_residual(pchart)]
+    assert all(res.is_zero for res in residuals)
 
 
 # -- order accounting -------------------------------------------------------------------

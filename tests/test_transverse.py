@@ -12,7 +12,6 @@ from cartanq import transverse
 from cartanq.errors import InvalidFiberPointError
 from cartanq.expr import parse_expression
 from cartanq.gaussrat import GaussianRational
-from cartanq.multipoly import VARIABLES
 from cartanq.surface import SurfaceChart, cartan_r, gauss_curvature, qisgauss_residuals
 from cartanq.transverse import (
     FiberPoint,
@@ -129,27 +128,49 @@ def test_q11_scale_and_mu_independence():
 
 
 def test_bracket_identity_zero():
-    report = verify_bracket_identity()
-    assert report.is_zero
-    assert report.lhs == report.rhs
+    assert verify_bracket_identity().is_zero
 
 
 def test_bracket_negative_control():
-    assert not verify_bracket_identity(perturb=True).is_zero
+    residual = verify_bracket_identity(perturb=True)
+    assert not residual.is_zero
+    assert repr(residual) == (
+        "MultiPoly((2*i)*mubar*X + (-2)*mubar^2*r + (-2*i)*b*mubar*r)"
+    )
 
 
-def test_bracket_random_substitution():
-    report = verify_bracket_identity()
+def _bracket_sides(b, mubar, r, X, mu_factor=2):
+    """Both sides of the bracket identity, written out as in the docstring of
+    verify_bracket_identity with plain Gaussian-rational arithmetic; bbar and
+    mu are the conjugates of b and mubar, so conj() is complex conjugation."""
+    i = GaussianRational(0, 1)
+    bbar, mu = b.conjugate(), mubar.conjugate()
+    A = -(b + i * mubar * mu_factor)
+    B = -(i * mu)
+    E = -(mu * (bbar - i * mu))
+    lhs = (X - r * b + i * r * mubar) * (A * 2 + B.conjugate() * 3) - i * r * E.conjugate()
+    rhs = -(X * b * 2) + r * b * b * 2 - i * X * mubar
+    return lhs, rhs
+
+
+def test_bracket_identity_at_random_points():
+    """An oracle that shares no code with MultiPoly: both sides agree at 20
+    seeded points, and the perturbed A of the negative control does not."""
     rng = random.Random(5)
+    perturbed_differs = False
     for _ in range(20):
-        point = {
-            name: GaussianRational(
+        b, mubar, r, X = (
+            GaussianRational(
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             )
-            for name in VARIABLES
-        }
-        assert report.lhs.evaluate(point) == report.rhs.evaluate(point)
+            for _ in range(4)
+        )
+        lhs, rhs = _bracket_sides(b, mubar, r, X)
+        assert lhs == rhs
+        lhs, rhs = _bracket_sides(b, mubar, r, X, mu_factor=1)
+        perturbed_differs = perturbed_differs or lhs != rhs
+    assert perturbed_differs
 
 
 # -- cross identities ----------------------------------------------------------------------
