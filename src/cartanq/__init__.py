@@ -27,7 +27,6 @@ from .invariants import (
     RigidSurface,
     calibrate_c,
     is_spherical,
-    q11_at_origin,
     weight3_invariance_suite,
 )
 from .expr import parse_expression, print_expression
@@ -76,7 +75,6 @@ __all__ = [
     "CalibrationResult",
     "calibrate_c",
     "is_spherical",
-    "q11_at_origin",
     "weight3_invariance_suite",
     "CompactMetric",
     "QuadratureScheme",

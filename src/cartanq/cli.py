@@ -19,13 +19,14 @@ from .errors import CartanQError, digit_limit_message
 from .expr import parse_expression, parse_radial_polynomial
 from .gaussrat import GaussianRational
 from .invariants import (
+    FAMILIES,
     RigidSurface,
     calibrate_c,
     is_spherical,
     weight3_scaling,
 )
 from .series import TruncatedSeries
-from .seriesfile import read_rational, read_series
+from .seriesfile import read_int, read_rational, read_series
 from .surface import (
     SurfaceChart,
     cartan_r,
@@ -51,9 +52,12 @@ SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defini
 # Cost caps.  invariants on the 8-term polynomial e^{2phi} of README takes
 # 0.08 / 0.25 / 0.95 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  Every
 # quadrature integrand is evaluated on the 32 * panels radial nodes of the fine
-# pass only, 1024 at the cap.
+# pass only, 1024 at the cap.  calibrate-c grows roughly with the cube of its
+# probe count: 0.21 / 0.32 / 1.3 / 7.2 s for 3 / 32 / 64 / 100 probes at order
+# 12, whole process, and over 150 s for 300; 1.0 s for 32 probes at order 64.
 MAX_ORDER = 64
 MAX_RADIAL_PANELS = 32
+MAX_PROBES = 32
 
 
 # -- serialization helpers -------------------------------------------------------
@@ -126,7 +130,9 @@ def _int_in(lo=None, hi=None):
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = read_int(text)
+        except OverflowError as exc:  # more digits than the limit
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if lo is not None and value < lo:
@@ -149,7 +155,11 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_probes(text: str):
-    return [_parse_rational(p) for p in text.split(",") if p.strip()]
+    probes = [p for p in text.split(",") if p.strip()]
+    if len(probes) > MAX_PROBES:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_PROBES} probes, got {len(probes)}")
+    return [_parse_rational(p) for p in probes]
 
 
 # -- input handling ----------------------------------------------------------------
@@ -505,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("calibrate-c", help="calibrate the weight-3 constant")
     sub.add_argument("--probes", type=_parse_probes,
                      default=[Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)])
-    sub.add_argument("--family", choices=("a44", "a24"), default="a44")
+    sub.add_argument("--family", choices=tuple(FAMILIES), default="a44")
     sub.add_argument("--order", type=_int_in(hi=MAX_ORDER), default=12,
                      help=f"truncation order, at most {MAX_ORDER} (default 12)")
     _add_output_flags(sub)

@@ -26,64 +26,40 @@ from __future__ import annotations
 import math
 import re as _re
 
-from .errors import (
-    ExpressionSyntaxError,
-    SeriesDomainError,
-    digit_limit_message,
-    int_digit_limit,
-)
+from .errors import ExpressionSyntaxError, SeriesDomainError, int_digit_limit
 from .series import (
     TruncatedSeries,
     exp_series,
     log1p_series,
     reciprocal,
 )
+from .seriesfile import read_int
 
-_TOKEN_RE = _re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_TOKEN_RE = _re.compile(
+    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S))"
+)
 
 _FUNCTIONS = ("exp", "log")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        pos = 0
-        n = len(self.text)
-        while pos < n:
-            m = _TOKEN_RE.match(self.text, pos)
-            if m is None or m.end() == pos:
-                # skip over whitespace-only tail
-                if self.text[pos:].strip() == "":
-                    break
-                bad = pos + len(self.text[pos:]) - len(self.text[pos:].lstrip())
-                raise ExpressionSyntaxError(
-                    f"unexpected character {self.text[bad]!r}", bad
-                )
-            if m.group(1) is not None:
-                digits = len(m.group(1))
-                if 0 < int_digit_limit() < digits:
-                    raise ExpressionSyntaxError(digit_limit_message(digits), m.start(1))
-                self.tokens.append(("int", int(m.group(1)), m.start(1)))
-            elif m.group(2) is not None:
-                self.tokens.append(("name", m.group(2), m.start(2)))
-            else:
-                self.tokens.append(("op", m.group(3), m.start(3)))
-            pos = m.end()
-        self.tokens.append(("end", None, n))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+def _tokenize(text: str):
+    """(kind, value, position) tokens of text, ending in an "end" token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        number, name, op, bad = m.groups()
+        if bad is not None:
+            raise ExpressionSyntaxError(f"unexpected character {bad!r}", m.start(4))
+        if number is not None:
+            try:
+                tokens.append(("int", read_int(number), m.start(1)))
+            except OverflowError as exc:
+                raise ExpressionSyntaxError(str(exc), m.start(1)) from None
+        elif name is not None:
+            tokens.append(("name", name, m.start(2)))
+        else:
+            tokens.append(("op", op, m.start(3)))
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 def _degree(s: TruncatedSeries) -> int:
@@ -107,10 +83,23 @@ class _Parser:
     exact polynomial, so nothing is truncated."""
 
     def __init__(self, text: str, order: int, radial: bool = False):
-        self.toks = _Tokenizer(text)
+        self.tokens = _tokenize(text)
+        self.index = 0
         self.order = order
         self.radial = radial
         self.variables = ("u",) if radial else ("z", "zb")
+
+    def _peek(self):
+        return self.tokens[self.index]
+
+    def _next(self):
+        self.index += 1
+        return self.tokens[self.index - 1]
+
+    def _expect(self, op: str, message: str):
+        kind, value, pos = self._next()
+        if kind != "op" or value != op:
+            raise ExpressionSyntaxError(message, pos)
 
     def _fits(self, degree: int, pos: int):
         if degree > self.order:
@@ -120,7 +109,7 @@ class _Parser:
 
     def parse(self) -> TruncatedSeries:
         result = self._expr()
-        kind, value, pos = self.toks.peek()
+        kind, value, pos = self._peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
         return result
@@ -128,9 +117,9 @@ class _Parser:
     def _expr(self) -> TruncatedSeries:
         acc = self._term()
         while True:
-            kind, value, _ = self.toks.peek()
+            kind, value, _ = self._peek()
             if kind == "op" and value in ("+", "-"):
-                self.toks.next()
+                self._next()
                 rhs = self._term()
                 acc = acc + rhs if value == "+" else acc - rhs
             else:
@@ -139,9 +128,9 @@ class _Parser:
     def _term(self) -> TruncatedSeries:
         acc = self._unary()
         while True:
-            kind, value, pos = self.toks.peek()
+            kind, value, pos = self._peek()
             if kind == "op" and value in ("*", "/"):
-                self.toks.next()
+                self._next()
                 rhs = self._unary()
                 if value == "*":
                     if self.radial:
@@ -163,23 +152,23 @@ class _Parser:
                 return acc
 
     def _unary(self) -> TruncatedSeries:
-        kind, value, _ = self.toks.peek()
+        kind, value, _ = self._peek()
         if kind == "op" and value in ("+", "-"):
-            self.toks.next()
+            self._next()
             operand = self._unary()
             return operand if value == "+" else -operand
         return self._power()
 
     def _power(self) -> TruncatedSeries:
         base = self._atom()
-        kind, value, caret = self.toks.peek()
+        kind, value, caret = self._peek()
         if kind == "op" and value == "^":
-            self.toks.next()
+            self._next()
             sign = 1
-            kind, value, pos = self.toks.next()
+            kind, value, pos = self._next()
             if kind == "op" and value == "-":
                 sign = -1
-                kind, value, pos = self.toks.next()
+                kind, value, pos = self._next()
             if kind != "int":
                 raise ExpressionSyntaxError("expected integer exponent", pos)
             if self.radial:
@@ -200,7 +189,7 @@ class _Parser:
         return base
 
     def _atom(self) -> TruncatedSeries:
-        kind, value, pos = self.toks.next()
+        kind, value, pos = self._next()
         if kind == "int":
             return TruncatedSeries.constant(value, self.order)
         if kind == "name":
@@ -209,15 +198,9 @@ class _Parser:
                     raise ExpressionSyntaxError(
                         f"radial profile must be a polynomial: {value} is not allowed", pos
                     )
-                kind2, value2, pos2 = self.toks.next()
-                if kind2 != "op" or value2 != "(":
-                    raise ExpressionSyntaxError(
-                        f"expected '(' after {value!r}", pos2
-                    )
+                self._expect("(", f"expected '(' after {value!r}")
                 arg = self._expr()
-                kind2, value2, pos2 = self.toks.next()
-                if kind2 != "op" or value2 != ")":
-                    raise ExpressionSyntaxError("expected ')'", pos2)
+                self._expect(")", "expected ')'")
                 try:
                     if value == "exp":
                         return exp_series(arg)
@@ -238,9 +221,7 @@ class _Parser:
             raise ExpressionSyntaxError(f"unknown name {value!r}", pos)
         if kind == "op" and value == "(":
             inner = self._expr()
-            kind2, value2, pos2 = self.toks.next()
-            if kind2 != "op" or value2 != ")":
-                raise ExpressionSyntaxError("expected ')'", pos2)
+            self._expect(")", "expected ')'")
             return inner
         raise ExpressionSyntaxError(
             "expected a number, variable, function, or '('", pos

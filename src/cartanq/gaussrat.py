@@ -77,9 +77,6 @@ class GaussianRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # fast path: both real (the common case for the geometry pipeline)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -93,8 +90,6 @@ class GaussianRational:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero GaussianRational")
-        if not self.im and not other.im:
-            return GaussianRational(self.re / other.re)
         norm = other.re * other.re + other.im * other.im
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / norm,

@@ -91,31 +91,8 @@ def is_spherical(chart: SurfaceChart, order: int) -> SphericityVerdict:
     return SphericityVerdict(first is None, order, first)
 
 
-def q11_at_origin(surface: RigidSurface) -> GaussianRational:
-    """Q;11 at the origin at lambda = 1: the constant coefficient s(0)."""
-    return cartan_s(surface.chart).constant_term
-
-
-def _family_a44(eps: Fraction, order: int) -> RigidSurface:
-    F = TruncatedSeries(
-        order, {(1, 1): GaussianRational(1), (4, 4): GaussianRational(eps)}
-    )
-    return RigidSurface(F)
-
-
-def _family_a24(eps: Fraction, order: int) -> RigidSurface:
-    F = TruncatedSeries(
-        order,
-        {
-            (1, 1): GaussianRational(1),
-            (2, 4): GaussianRational(eps),
-            (4, 2): GaussianRational(eps),
-        },
-    )
-    return RigidSurface(F)
-
-
-FAMILIES = {"a44": _family_a44, "a24": _family_a24}
+# Calibration families F_eps = z zbar + eps * (sum of these monomials).
+FAMILIES = {"a44": ((4, 4),), "a24": ((2, 4), (4, 2))}
 
 
 def lagrange_interpolate(points: Sequence[Tuple[Fraction, Fraction]]):
@@ -172,10 +149,10 @@ def calibrate_c(
         raise InsufficientOrderError(
             f"Q;11(0) needs a defining function of order >= 8, got {order}"
         )
-    build = FAMILIES[family]
     points = []
     for eps in probes:
-        value = q11_at_origin(build(eps, order))
+        F = {(1, 1): 1, **dict.fromkeys(FAMILIES[family], eps)}
+        value = cartan_s(RigidSurface(TruncatedSeries(order, F)).chart).constant_term
         if value.im:
             raise CalibrationError(f"Q;11(0) = {value} is not real at eps = {eps}")
         points.append((eps, value.re))

@@ -246,10 +246,6 @@ class TruncatedSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
-
-    @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
         return cls(order, {(0, 0): _as_coeff(value)})
 
@@ -263,10 +259,6 @@ class TruncatedSeries:
             raise ValueError(f"unknown variable {name!r}")
         # degree 1: at order 0 it truncates to zero, as a product does
         return cls(order, {pair: 1} if order else None)
-
-    @classmethod
-    def monomial(cls, k: int, l: int, value, order: int) -> "TruncatedSeries":
-        return cls(order, {(k, l): _as_coeff(value)})
 
     # -- basic accessors -------------------------------------------------------
 

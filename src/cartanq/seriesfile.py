@@ -23,6 +23,20 @@ from .series import TruncatedSeries
 _RATIONAL_DIGITS = _re.compile(
     r"[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?)([\d_]+))?)"
 )
+# The digits of an integer as int reads it.  int checks the syntax.
+_INT_DIGITS = _re.compile(r"[-+]?([\d_]+)")
+
+
+def read_int(text: str) -> int:
+    """int(text), refused with OverflowError when it has more digits than the
+    limit.  Bad syntax raises ValueError, as in int."""
+    limit = int_digit_limit()
+    m = _INT_DIGITS.fullmatch(text.strip())
+    if limit and m:
+        digits = len(m.group(1).replace("_", ""))
+        if digits > limit:
+            raise OverflowError(digit_limit_message(digits))
+    return int(text)
 
 
 def read_rational(text: str) -> Fraction:
@@ -65,7 +79,9 @@ def loads(text: str) -> TruncatedSeries:
     if len(header) != 2 or header[0] != "order":
         raise CoefficientFileError("expected header 'order N'", lineno=1)
     try:
-        order = int(header[1])
+        order = read_int(header[1])
+    except OverflowError as exc:
+        raise CoefficientFileError(str(exc), lineno=1) from None
     except ValueError:
         raise CoefficientFileError(f"bad order {header[1]!r}", lineno=1) from None
     if order < 0:
@@ -81,7 +97,7 @@ def loads(text: str) -> TruncatedSeries:
                 f"expected 'k l re im', got {line!r}", lineno=lineno
             )
         try:
-            k, l = int(parts[0]), int(parts[1])
+            k, l = read_int(parts[0]), read_int(parts[1])
             re, im = read_rational(parts[2]), read_rational(parts[3])
         except (ValueError, ArithmeticError) as exc:
             raise CoefficientFileError(str(exc), lineno=lineno) from None
@@ -97,11 +113,6 @@ def loads(text: str) -> TruncatedSeries:
             )
         coeffs[(k, l)] = GaussianRational(re, im)
     return TruncatedSeries(order, coeffs)
-
-
-def write_series(path, s: TruncatedSeries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(s))
 
 
 def read_series(path) -> TruncatedSeries:

@@ -41,10 +41,6 @@ class FiberPoint:
         if not self.lam:
             raise InvalidFiberPointError("fiber point requires lambda != 0")
 
-    @property
-    def lam_norm2(self) -> GaussianRational:
-        return self.lam * self.lam.conjugate()
-
 
 class PseudohermitianChart:
     """Transverse-symmetry pseudohermitian structure over a surface chart.
@@ -91,7 +87,7 @@ def q_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberReprese
 
 def q11_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberRepresentative:
     """Q;11 = s / |lambda|^6; independent of mu."""
-    norm2 = p.lam_norm2
+    norm2 = p.lam * p.lam.conjugate()
     scale = GaussianRational(1) / (norm2 * norm2 * norm2)
     return FiberRepresentative(series=cartan_s(chart.base), scale=scale)
 

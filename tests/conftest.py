@@ -36,7 +36,7 @@ def random_positive_metric(rng: random.Random, order: int) -> TruncatedSeries:
 
 def round_sphere_chart(order: int = 14) -> SurfaceChart:
     one = TruncatedSeries.constant(1, order)
-    rho = TruncatedSeries.monomial(1, 1, 1, order)
+    rho = TruncatedSeries(order, {(1, 1): 1})
     return SurfaceChart(reciprocal(one + rho) ** 2)
 
 
@@ -46,7 +46,7 @@ def flat_chart(order: int = 14) -> SurfaceChart:
 
 def one_plus_rho_chart(order: int = 14) -> SurfaceChart:
     one = TruncatedSeries.constant(1, order)
-    rho = TruncatedSeries.monomial(1, 1, 1, order)
+    rho = TruncatedSeries(order, {(1, 1): 1})
     return SurfaceChart(one + rho)
 
 

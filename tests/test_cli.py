@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanq import cli, seriesfile
+from cartanq.errors import digit_limit_message
+from cartanq.gaussrat import GaussianRational
 from cartanq.series import TruncatedSeries
 from cartanq.seriesfile import dumps
 
@@ -449,6 +452,42 @@ def test_coefficient_beyond_the_digit_limit_exits_1(capsys, monkeypatch, tmp_pat
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ((*E2PHI[:3], "--expr", "1+z*zb", "--order", BIG), "--order"),
+        ((*E2PHI, "--expr", "1+z*zb", "--display-order", BIG), "--display-order"),
+        ((*E2PHI, "--expr", "1+z*zb", "--verify-order", BIG), "--verify-order"),
+        (("calibrate-c", "--order", BIG), "--order"),
+        (("quadrature-check", "--radial-panels", BIG), "--radial-panels"),
+    ],
+    ids=["order", "display_order", "verify_order", "calibrate_order", "radial_panels"],
+)
+def test_integer_flag_beyond_the_digit_limit_exits_1(capsys, argv, flag):
+    """The error gives the digit count and names the flag, without the digits."""
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out) == (1, "")
+    assert errors == [f"cartanq {argv[0]}: error: argument {flag}: "
+                      f"{digit_limit_message(len(BIG))}"]
+
+
+def _probes(n):
+    return ",".join(f"1/{d}" for d in range(2, 2 + n))
+
+
+def test_probes_up_to_the_cap(capsys):
+    assert cli.MAX_PROBES == 32
+    code, out = run(capsys, "calibrate-c", "--probes", _probes(cli.MAX_PROBES))
+    assert code == 0
+    assert json.loads(out)["calibration"]["c"] == "96"
+
+
+def test_probes_above_the_cap_exit_1(capsys):
+    code, out, errors = run_rejected(capsys, ("calibrate-c", "--probes", _probes(33)))
+    assert (code, out) == (1, "")
+    assert errors == ["cartanq calibrate-c: error: argument --probes: at most 32 probes, got 33"]
+
+
+@pytest.mark.parametrize(
     "argv, caret",
     [
         ((*E2PHI, "--expr", "1+z*zb*10^5000"), 9),
@@ -496,6 +535,42 @@ def test_exit_code_2_on_identity_violation(capsys, monkeypatch):
         "--expr", F44, "--order", "12",
     )
     assert code == 2
+
+
+def test_nonzero_exact_residual_entry(capsys, monkeypatch):
+    argv = ("invariants", "--input-kind", "rigid_defining_F", "--expr", F44, "--order", "12")
+    _, out = run(capsys, *argv)
+    expected = json.loads(out)["residuals"]
+    expected["k_minus_2r"] = {"exact_zero": False, "value": "-3/7+2i", "at": [2, 1],
+                              "order": 8}
+    residual = TruncatedSeries(8, {(2, 1): GaussianRational(Fraction(-3, 7), 2)})
+    monkeypatch.setattr(cli, "k_equals_2r_residual", lambda chart: residual)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    residuals = json.loads(out)["residuals"]
+    assert residuals == expected
+    assert list(residuals["k_minus_2r"]) == ["exact_zero", "value", "at", "order"]
+
+
+README_E2PHI = "2 + z*zb + (z^2*zb + z*zb^2)/3 + (z^3 + zb^3)/5 + z^2*zb^2/7 - z^3*zb^3/11"
+
+
+@pytest.mark.parametrize(
+    "expr, key, value",
+    [
+        # Q = r(0) / (lambda lambdabar^3) = r(0) i / 4 with r(0) = 1/10
+        ("1+(z*zb^3+z^3*zb)/10", "q_at_center", "0+1/40i"),
+        # Q;11 = s(0) / |lambda|^6 = s(0) / 8
+        (README_E2PHI, "q11_at_center", "-144673/3326400"),
+    ],
+    ids=["q", "q11"],
+)
+def test_complex_lambda_by_value(capsys, expr, key, value):
+    code, out = run(capsys, "invariants", "--input-kind", "conformal_factor_e2phi",
+                    "--expr", expr, "--order", "12", "--lambda", "1,1")
+    values = json.loads(out)["values"]
+    assert code == 0
+    assert (values["lambda"], values[key]) == ("1+1i", value)
 
 
 def test_exit_code_helper():

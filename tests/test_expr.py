@@ -70,7 +70,7 @@ def test_printer_round_trip_random():
             raw.order, {kl: c.re for kl, c in raw.coeffs.items()}
         )
         assert parse_expression(print_expression(s), s.order) == s
-    assert parse_expression(print_expression(TruncatedSeries.zero(4)), 4).is_zero
+    assert parse_expression(print_expression(TruncatedSeries(4)), 4).is_zero
     for imaginary in (GaussianRational(0, 1), GaussianRational(2, 1)):
         with pytest.raises(ValueError):
             print_expression(TruncatedSeries(4, {(0, 0): 1, (1, 1): imaginary}))
@@ -104,7 +104,7 @@ def test_radial_polynomial_keeps_top_degree():
 @pytest.mark.parametrize("text", ["z", "zb", "z*zb", "3*z/2", "zb^2"])
 def test_variables_truncate_at_order_zero(text):
     # a variable has degree 1, so at order 0 it truncates as a product does
-    assert parse_expression(text, 0) == TruncatedSeries.zero(0)
+    assert parse_expression(text, 0) == TruncatedSeries(0)
     assert parse_expression(f"2 + {text}", 0) == TruncatedSeries.constant(2, 0)
 
 

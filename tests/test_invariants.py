@@ -16,11 +16,10 @@ from cartanq.invariants import (
     calibrate_c,
     is_spherical,
     lagrange_interpolate,
-    q11_at_origin,
     weight3_invariance_suite,
 )
 from cartanq.series import TruncatedSeries
-from cartanq.surface import cartan_r
+from cartanq.surface import cartan_r, cartan_s
 from conftest import flat_chart, one_plus_rho_chart, round_sphere_chart
 
 
@@ -83,21 +82,22 @@ def test_is_spherical_rejects_negative_order():
 def test_spherical_implies_q11_zero():
     surface = rigid({})
     assert is_spherical(surface.chart, cartan_r(surface.chart).order)
-    assert q11_at_origin(surface) == GaussianRational(0)
+    assert cartan_s(surface.chart).constant_term == GaussianRational(0)
 
 
 # -- q11 at the origin ----------------------------------------------------------------------
 
 
 def test_q11_values():
-    assert q11_at_origin(rigid({})) == GaussianRational(0)
+    assert cartan_s(rigid({}).chart).constant_term == GaussianRational(0)
     eps = Fraction(1, 10)
-    assert q11_at_origin(rigid({(4, 4): eps})) == GaussianRational(96 * eps)
+    assert cartan_s(rigid({(4, 4): eps}).chart).constant_term == GaussianRational(96 * eps)
 
 
 def test_q11_a24_family_vanishes_at_origin():
     eps = Fraction(1, 10)
-    assert q11_at_origin(rigid({(2, 4): eps, (4, 2): eps})) == GaussianRational(0)
+    surface = rigid({(2, 4): eps, (4, 2): eps})
+    assert cartan_s(surface.chart).constant_term == GaussianRational(0)
 
 
 # -- calibration -------------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_mul_difference_of_squares():
 
 
 def test_mul_truncation_drops_overflow():
-    zzb = TruncatedSeries.monomial(1, 1, 1, 3)
+    zzb = TruncatedSeries(3, {(1, 1): 1})
     assert (zzb * zzb).is_zero
 
 
@@ -79,14 +79,14 @@ def test_construction_rejects_overflow_and_negatives():
 
 
 def test_diff_examples():
-    s = TruncatedSeries.monomial(2, 1, 1, 5)
-    assert s.diff("z") == TruncatedSeries.monomial(1, 1, 2, 4)
-    assert s.diff("zbar") == TruncatedSeries.monomial(2, 0, 1, 4)
+    s = TruncatedSeries(5, {(2, 1): 1})
+    assert s.diff("z") == TruncatedSeries(4, {(1, 1): 2})
+    assert s.diff("zbar") == TruncatedSeries(4, {(2, 0): 1})
 
 
 def test_diff_log_series():
     # D log(1+z*zb) = zb - z*zb^2 + z^2*zb^3 at order 5
-    rho = TruncatedSeries.monomial(1, 1, 1, 6)
+    rho = TruncatedSeries(6, {(1, 1): 1})
     d = log1p_series(rho).diff("z")
     assert d == TruncatedSeries(
         5, {(0, 1): 1, (1, 2): -1, (2, 3): 1}
@@ -108,13 +108,13 @@ def test_reciprocal_geometric():
 
 
 def test_exp_log_inverse_pair():
-    rho = TruncatedSeries.monomial(1, 1, 1, 6)
+    rho = TruncatedSeries(6, {(1, 1): 1})
     assert exp_series(log1p_series(rho)) == ONE(6) + rho
 
 
 def test_log1p_high_degree_argument():
     # 16*eps*z^3*zb^3 with eps = 1/10: the square is degree 12 > 8
-    s = TruncatedSeries.monomial(3, 3, Fraction(16, 10), 8)
+    s = TruncatedSeries(8, {(3, 3): Fraction(16, 10)})
     assert log1p_series(s) == s
 
 
@@ -138,7 +138,7 @@ def test_reciprocal_product_count(products, order):
 
 def test_reciprocal_starts_where_the_constant_is_exact(products):
     # 1/2 is exact to order 5 for 2 + z^3 zb^3: two steps reach 11 and 12
-    s = ONE(12) * 2 + TruncatedSeries.monomial(3, 3, Fraction(16, 10), 12)
+    s = ONE(12) * 2 + TruncatedSeries(12, {(3, 3): Fraction(16, 10)})
     products.clear()
     reciprocal(s)
     assert len(products) == 4
@@ -165,8 +165,8 @@ def test_pow_negative_exponent():
 
 
 def test_conjugate_examples():
-    iz = TruncatedSeries.monomial(1, 0, GaussianRational(0, 1), 3)
-    assert iz.conjugate() == TruncatedSeries.monomial(0, 1, GaussianRational(0, -1), 3)
+    iz = TruncatedSeries(3, {(1, 0): GaussianRational(0, 1)})
+    assert iz.conjugate() == TruncatedSeries(3, {(0, 1): GaussianRational(0, -1)})
     real = TruncatedSeries(3, {(1, 1): 1, (0, 0): 2})
     assert real.conjugate() == real
     assert real.real_flag
@@ -229,5 +229,5 @@ def test_real_flag_detection(seed, n):
     s = _mk(seed, n, real=True)
     assert s.real_flag
     assert (s * s).real_flag
-    perturbed = s + TruncatedSeries.monomial(0, min(1, n), GaussianRational(0, 1), n)
+    perturbed = s + TruncatedSeries(n, {(0, min(1, n)): GaussianRational(0, 1)})
     assert not perturbed.real_flag

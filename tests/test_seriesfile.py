@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cartanq import seriesfile
-from cartanq.errors import CoefficientFileError
-from cartanq.seriesfile import dumps, loads, read_rational, read_series, write_series
+from cartanq.errors import CoefficientFileError, digit_limit_message
+from cartanq.seriesfile import dumps, loads, read_int, read_rational, read_series
 from cartanq.series import TruncatedSeries
 from conftest import random_series
 
@@ -18,7 +18,7 @@ def test_round_trip_random(tmp_path):
     for _ in range(20):
         s = random_series(rng, 12)
         path = tmp_path / "s.coeffs"
-        write_series(path, s)
+        path.write_text(dumps(s), encoding="utf-8")
         assert read_series(path) == s
 
 
@@ -117,3 +117,40 @@ def test_coefficient_beyond_the_digit_limit_unbuilt(unbuilt):
         loads("order 4\n1 1 1e200000 0\n")
     assert err.value.lineno == 2
     assert "value has 200001 digits" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["0", "-12", "+3", "1_000", " 7 ", "1" * LIMIT])
+def test_read_int_reads_as_int(text):
+    assert read_int(text) == int(text)
+
+
+@pytest.mark.parametrize("text", ["1" * (LIMIT + 1), "-" + "1" * (LIMIT + 1),
+                                  "1_" * LIMIT + "1"], ids=["plain", "signed", "underscores"])
+def test_read_int_rejects_beyond_the_digit_limit(text):
+    with pytest.raises(OverflowError) as err:
+        read_int(text)
+    assert str(err.value) == digit_limit_message(LIMIT + 1)
+
+
+@pytest.mark.parametrize("text", ["x", "1.5", "0x10", "1__0", "x" * (LIMIT + 1)])
+def test_read_int_keeps_the_int_error_for_other_text(text):
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        read_int(text)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("order " + "1" * (LIMIT + 1) + "\n", 1),
+    ("order 4\n" + "1" * (LIMIT + 1) + " 1 1 0\n", 2),
+    ("order 4\n1 " + "1" * (LIMIT + 1) + " 1 0\n", 2),
+], ids=["order", "k", "l"])
+def test_integer_field_beyond_the_digit_limit(text, lineno):
+    with pytest.raises(CoefficientFileError) as err:
+        loads(text)
+    assert str(err.value) == f"line {lineno}: {digit_limit_message(LIMIT + 1)}"
+
+
+def test_non_numeric_integer_fields_keep_their_errors():
+    with pytest.raises(CoefficientFileError, match="line 1: bad order 'abc'"):
+        loads("order abc\n")
+    with pytest.raises(CoefficientFileError, match="line 2: invalid literal for int"):
+        loads("order 4\nx 1 1 0\n")

@@ -264,7 +264,7 @@ def compose(f, g, order):
     for _ in range(order):
         g_pow.append(g_pow[-1] * g)
         gbar_pow.append(gbar_pow[-1] * gbar)
-    out = TruncatedSeries.zero(order)
+    out = TruncatedSeries(order)
     for (k, l), c in f.truncated(order).coeffs.items():
         out = out + g_pow[k] * gbar_pow[l] * c
     return out

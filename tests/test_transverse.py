@@ -89,8 +89,9 @@ def test_levi_normalization_random_metrics(seed, n):
 def test_fiber_point_validation():
     with pytest.raises(InvalidFiberPointError):
         FiberPoint(GaussianRational(0))
-    p = FiberPoint(GaussianRational(1, 2))  # lambda = 1 + 2i
-    assert p.lam_norm2 == GaussianRational(5)
+    p = FiberPoint(GaussianRational(1, 2))  # lambda = 1 + 2i, |lambda|^6 = 125
+    rep = q11_representative(pchart(flat_chart()), p)
+    assert rep.scale == GaussianRational(Fraction(1, 125))
 
 
 def test_q_spherical_is_zero():
