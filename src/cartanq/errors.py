@@ -55,7 +55,8 @@ class InsufficientProbesError(CartanQError):
 
 
 class CalibrationError(CartanQError):
-    """Internal inconsistency detected during calibration."""
+    """Calibration request for an unknown family, or an internal
+    inconsistency detected during calibration."""
 
 
 class ExpressionSyntaxError(CartanQError):

@@ -3,10 +3,13 @@
 Grammar (whitespace-insensitive):
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
-    unary  := ('+' | '-') unary | power
+    unary  := ('+' | '-')* power
     power  := atom ('^' ('-')? INT)?
     atom   := INT | 'z' | 'zb' | 'exp' '(' expr ')' | 'log' '(' expr ')'
               | '(' expr ')'
+    INT    := [0-9]+
+
+Parentheses nest at most MAX_NESTING deep, so parsing needs a bounded stack.
 
 Rational literals like 1/10 come out of the '/' operator on constants, which
 is exact.  'log' requires an argument with constant term 1; '/' requires a
@@ -36,15 +39,21 @@ from .series import (
 from .seriesfile import read_int
 
 _TOKEN_RE = _re.compile(
-    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S))"
+    r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S))"
 )
 
 _FUNCTIONS = ("exp", "log")
+
+# binding strength of the binary operators; all are left-associative
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
     """(kind, value, position) tokens of text, ending in an "end" token."""
     tokens = []
+    depth = 0
     for m in _TOKEN_RE.finditer(text):
         number, name, op, bad = m.groups()
         if bad is not None:
@@ -57,6 +66,11 @@ def _tokenize(text: str):
         elif name is not None:
             tokens.append(("name", name, m.start(2)))
         else:
+            depth += (op == "(") - (op == ")")
+            if depth > MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", m.start(3)
+                )
             tokens.append(("op", op, m.start(3)))
     tokens.append(("end", None, len(text)))
     return tokens
@@ -74,7 +88,7 @@ def _bit_length(s: TruncatedSeries) -> int:
 
 
 class _Parser:
-    """Recursive-descent parser that expands as it parses.
+    """Precedence-climbing parser that expands as it parses.
 
     In radial mode the variable is u and the expression must be a polynomial
     of degree at most ``order``, checked operation by operation: exp, log and
@@ -87,7 +101,8 @@ class _Parser:
         self.index = 0
         self.order = order
         self.radial = radial
-        self.variables = ("u",) if radial else ("z", "zb")
+        # the radial variable u takes the z slot
+        self.variables = {"u": (1, 0)} if radial else {"z": (1, 0), "zb": (0, 1)}
 
     def _peek(self):
         return self.tokens[self.index]
@@ -114,50 +129,42 @@ class _Parser:
             raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
         return result
 
-    def _expr(self) -> TruncatedSeries:
-        acc = self._term()
+    def _expr(self, level: int = 1) -> TruncatedSeries:
+        """A signed power, then every binary operation that binds at least as
+        tightly as ``level``, left-associative."""
+        negate = False
+        while self._peek()[:2] in (("op", "+"), ("op", "-")):
+            negate ^= self._next()[1] == "-"
+        acc = self._power()
+        if negate:
+            acc = -acc
         while True:
-            kind, value, _ = self._peek()
-            if kind == "op" and value in ("+", "-"):
-                self._next()
-                rhs = self._term()
-                acc = acc + rhs if value == "+" else acc - rhs
-            else:
+            kind, op, pos = self._peek()
+            if kind != "op" or _PRECEDENCE.get(op, 0) < level:
                 return acc
-
-    def _term(self) -> TruncatedSeries:
-        acc = self._unary()
-        while True:
-            kind, value, pos = self._peek()
-            if kind == "op" and value in ("*", "/"):
-                self._next()
-                rhs = self._unary()
-                if value == "*":
-                    if self.radial:
-                        self._fits(_degree(acc) + _degree(rhs), pos)
-                    acc = acc * rhs
-                else:
-                    try:
-                        acc = acc * reciprocal(rhs)
-                    except SeriesDomainError as exc:
-                        raise ExpressionSyntaxError(str(exc), pos) from None
-                    # the quotient is a polynomial iff quotient * divisor stays
-                    # within the order: then it equals the dividend exactly
-                    if self.radial and _degree(acc) + _degree(rhs) > self.order:
-                        raise ExpressionSyntaxError(
-                            "radial profile must be a polynomial: the division "
-                            "leaves a remainder", pos
-                        )
-            else:
-                return acc
-
-    def _unary(self) -> TruncatedSeries:
-        kind, value, _ = self._peek()
-        if kind == "op" and value in ("+", "-"):
             self._next()
-            operand = self._unary()
-            return operand if value == "+" else -operand
-        return self._power()
+            acc = self._binary(op, acc, self._expr(_PRECEDENCE[op] + 1), pos)
+
+    def _binary(self, op: str, lhs, rhs, pos: int) -> TruncatedSeries:
+        if op == "+":
+            return lhs + rhs
+        if op == "-":
+            return lhs - rhs
+        if op == "*":
+            if self.radial:
+                self._fits(_degree(lhs) + _degree(rhs), pos)
+            return lhs * rhs
+        try:
+            quotient = lhs * reciprocal(rhs)
+        except SeriesDomainError as exc:
+            raise ExpressionSyntaxError(str(exc), pos) from None
+        # the quotient is a polynomial iff quotient * divisor stays within the
+        # order: then it equals the dividend exactly
+        if self.radial and _degree(quotient) + _degree(rhs) > self.order:
+            raise ExpressionSyntaxError(
+                "radial profile must be a polynomial: the division leaves a remainder", pos
+            )
+        return quotient
 
     def _power(self) -> TruncatedSeries:
         base = self._atom()
@@ -204,20 +211,15 @@ class _Parser:
                 try:
                     if value == "exp":
                         return exp_series(arg)
-                    # log requires constant term 1
-                    one = TruncatedSeries.constant(1, arg.order)
-                    if arg.constant_term != one.constant_term:
-                        raise SeriesDomainError(
-                            "log requires argument with constant term 1"
-                        )
-                    return log1p_series(arg - one)
+                    if arg.constant_term != 1:
+                        raise SeriesDomainError("log requires argument with constant term 1")
+                    return log1p_series(arg - TruncatedSeries.constant(1, arg.order))
                 except SeriesDomainError as exc:
                     raise ExpressionSyntaxError(str(exc), pos) from None
             if value in self.variables:
-                if value == "u":
-                    # radial profile variable, mapped onto the z slot
-                    return TruncatedSeries.variable("z", self.order)
-                return TruncatedSeries.variable(value, self.order)
+                # degree 1: at order 0 it truncates to zero, as a product does
+                pair = self.variables[value]
+                return TruncatedSeries(self.order, {pair: 1} if self.order else None)
             raise ExpressionSyntaxError(f"unknown name {value!r}", pos)
         if kind == "op" and value == "(":
             inner = self._expr()

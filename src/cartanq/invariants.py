@@ -138,6 +138,10 @@ def calibrate_c(
     interpolant uses its full degree, the polynomial may not have stabilized
     and more probes are required.
     """
+    if family not in FAMILIES:
+        raise CalibrationError(
+            f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
+        )
     probes = tuple(Fraction(p) for p in probes)
     if len(set(probes)) != len(probes):
         raise InsufficientProbesError("probe values must be distinct")

@@ -249,17 +249,6 @@ class TruncatedSeries:
     def constant(cls, value, order: int) -> "TruncatedSeries":
         return cls(order, {(0, 0): _as_coeff(value)})
 
-    @classmethod
-    def variable(cls, name: str, order: int) -> "TruncatedSeries":
-        if name == "z":
-            pair = (1, 0)
-        elif name in ("zbar", "zb"):
-            pair = (0, 1)
-        else:
-            raise ValueError(f"unknown variable {name!r}")
-        # degree 1: at order 0 it truncates to zero, as a product does
-        return cls(order, {pair: 1} if order else None)
-
     # -- basic accessors -------------------------------------------------------
 
     def _value(self, i: int) -> GaussianRational:
@@ -470,9 +459,7 @@ def differentiate(s: TruncatedSeries, var: str) -> TruncatedSeries:
     """Formal partial derivative; the result order drops to N - 1."""
     if s.order < 1:
         raise OrderMismatchError("cannot differentiate an order-0 series")
-    if var in ("zbar", "zb"):
-        var = "zbar"
-    elif var != "z":
+    if var not in ("z", "zbar"):
         raise ValueError(f"unknown variable {var!r}")
     index, factor = _diff_table(var, s._rows)
     re = list(map(mul, factor, map(s._re.__getitem__, index)))

@@ -18,36 +18,41 @@ from .errors import CoefficientFileError, digit_limit_message, int_digit_limit
 from .gaussrat import GaussianRational
 from .series import TruncatedSeries
 
-# The digit strings of a rational as Fraction reads it: integer part, then a
-# denominator or a decimal part and a signed exponent.  Fraction checks the syntax.
+# The digit strings of a rational in the subset of Fraction's grammar read
+# here: ASCII digits, no underscores.  Fraction checks the rest of the syntax.
 _RATIONAL_DIGITS = _re.compile(
-    r"[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?)([\d_]+))?)"
+    r"[-+]?([0-9]*)(?:\s*/\s*([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?)([0-9]+))?)"
 )
-# The digits of an integer as int reads it.  int checks the syntax.
-_INT_DIGITS = _re.compile(r"[-+]?([\d_]+)")
+# The digits of an integer: ASCII only, no underscores.
+_INT_DIGITS = _re.compile(r"[-+]?([0-9]+)")
 
 
 def read_int(text: str) -> int:
-    """int(text), refused with OverflowError when it has more digits than the
-    limit.  Bad syntax raises ValueError, as in int."""
-    limit = int_digit_limit()
+    """int(text) for a base-10 integer in ASCII digits without underscores,
+    refused with OverflowError when it has more digits than the limit.  Other
+    text raises ValueError with int's message."""
     m = _INT_DIGITS.fullmatch(text.strip())
-    if limit and m:
-        digits = len(m.group(1).replace("_", ""))
-        if digits > limit:
-            raise OverflowError(digit_limit_message(digits))
+    if not m:
+        # int's own message, which cuts the repr at 200 characters
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    limit = int_digit_limit()
+    if limit and len(m.group(1)) > limit:
+        raise OverflowError(digit_limit_message(len(m.group(1))))
     return int(text)
 
 
 def read_rational(text: str) -> Fraction:
-    """Fraction(text), refused with OverflowError before it is built when one
-    of its digit strings, or the numerator or denominator it makes as written
-    (exponent included, before reduction), has more digits than the limit.
-    Bad syntax raises ValueError or ZeroDivisionError, as in Fraction."""
-    limit = int_digit_limit()
+    """Fraction(text) for text in ASCII digits without underscores, refused
+    with OverflowError before it is built when one of its digit strings, or
+    the numerator or denominator it makes as written (exponent included,
+    before reduction), has more digits than the limit.  Other bad syntax
+    raises ValueError or ZeroDivisionError, as in Fraction."""
     m = _RATIONAL_DIGITS.fullmatch(text.strip())
-    if limit and m:
-        num, den, dec, sign, exp = (g.replace("_", "") for g in m.groups(""))
+    if not m:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    limit = int_digit_limit()
+    if limit:
+        num, den, dec, sign, exp = m.groups("")
         sizes = [len(num), len(den), len(dec), len(exp)]
         if max(sizes) <= limit and not den:
             e = int(sign + exp) if exp else 0
@@ -116,5 +121,13 @@ def loads(text: str) -> TruncatedSeries:
 
 
 def read_series(path) -> TruncatedSeries:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CoefficientFileError(
+            f"not UTF-8 text: byte {data[exc.start]:#04x}",
+            lineno=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return loads(text)

@@ -174,7 +174,7 @@ def covariant_derivative(
         if letter == "z":
             var, b, coef = "z", chart.b, -k
             k += 1
-        elif letter in ("zbar", "zb"):
+        elif letter == "zbar":
             var, b, coef = "zbar", chart.bbar, -l
             l += 1
         else:

@@ -261,6 +261,36 @@ def test_bad_numeric_flag_exits_1(capsys, argv):
     assert len(errors) == 1
 
 
+_E2PHI = ("sphericity", "--input-kind", "conformal_factor_e2phi")
+
+
+@pytest.mark.parametrize("argv, error", [
+    ((*_E2PHI, "--expr", "(" * 200 + "1+z*zb" + ")" * 200, "--order", "8"),
+     "error: parentheses nested deeper than 100 (at position 100)"),
+    (("quadrature-check", "--expr", "(" * 200 + "u" + ")" * 200),
+     "error: parentheses nested deeper than 100 (at position 100)"),
+    ((*_E2PHI, "--expr", "1+" + "-" * 1500, "--order", "8"),
+     "error: expected a number, variable, function, or '(' (at position 1502)"),
+    ((*_E2PHI, "--coeff-file", "{nonutf8}", "--order", "8"),
+     "error: line 2: not UTF-8 text: byte 0xff"),
+    ((*_E2PHI, "--expr", "1+z*zb", "--order", "\u0661\u0662"),
+     "cartanq sphericity: error: argument --order: invalid int value: '\u0661\u0662'"),
+    ((*_E2PHI, "--expr", "1+z*zb", "--order", "1_2"),
+     "cartanq sphericity: error: argument --order: invalid int value: '1_2'"),
+    ((*_E2PHI, "--expr", "\u0661+z*zb", "--order", "8"),
+     "error: unexpected character '\u0661' (at position 0)"),
+    (("calibrate-c", "--probes", "1_0/3,1/16,1/25"),
+     "cartanq calibrate-c: error: argument --probes: bad rational '1_0/3'"),
+], ids=["nesting", "quadrature_nesting", "sign_run", "non_utf8_file", "unicode_order",
+        "underscore_order", "unicode_literal", "underscore_probe"])
+def test_input_that_ran_or_raised_before_exits_1(capsys, tmp_path, argv, error):
+    """Each of these either ran with a changed meaning or ended in a traceback."""
+    (tmp_path / "nonutf8.coeffs").write_bytes(b"order 4\n\xff\xfe 1 1 0\n")
+    argv = [a.replace("{nonutf8}", str(tmp_path / "nonutf8.coeffs")) for a in argv]
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, errors) == (1, "", [error])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -622,9 +652,10 @@ _SURFACE_FLAGS = {
     "--input-kind": ("line_bundle_metric_h", "conformal_factor_e2phi",
                      "rigid_defining_F", "compact_profile_psi", "bogus"),
     "--expr": (F44, "(1+z*zb)^-2", "1+z*zb", "exp(-z*zb)", "z*zb", "log(2+z*zb)",
-               "1 + @", "z^", "(1+z)^-3", "zb*z + z^2*zb^2", ""),
-    "--coeff-file": ("{good}", "{bad}", "{dir}/missing.coeffs"),
-    "--order": ("4", "6", "8", "12", "3", "-1", "65", "x", "1.5"),
+               "1 + @", "z^", "(1+z)^-3", "zb*z + z^2*zb^2", "",
+               "(" * 200 + "1+z*zb" + ")" * 200, "1+" + "-" * 1500, "\u0661+z*zb"),
+    "--coeff-file": ("{good}", "{bad}", "{dir}/missing.coeffs", "{dir}/nonutf8.coeffs"),
+    "--order": ("4", "6", "8", "12", "3", "-1", "65", "x", "1.5", "\u0661\u0662", "1_2"),
 }
 _OUTPUT_FLAGS = {
     "--format": ("json", "text", "xml"),
@@ -641,18 +672,20 @@ FUZZ_FLAGS = {
                    "--verify-order": ("0", "4", "12", "-3", "x")},
     "calibrate-c": {**_OUTPUT_FLAGS,
                     "--probes": ("1/10,1/16,1/25", "1/10,1/16,1/25,1/36", "1/10,1/10,1/25",
-                                 "0,1/2,1/3", "1/10", "", "1/0", "a,b"),
+                                 "0,1/2,1/3", "1/10", "", "1/0", "a,b", "1_0/3,1/16,1/25"),
                     "--family": ("a44", "a24", "a66"),
-                    "--order": ("8", "12", "6", "-1", "65", "x"),
+                    "--order": ("8", "12", "6", "-1", "65", "x", "\u0661\u0662", "1_2"),
                     **_DISPLAY_ORDER},
     "verify-identities": {**_SURFACE_FLAGS, **_OUTPUT_FLAGS, **_DISPLAY_ORDER},
     "quadrature-check": {**_OUTPUT_FLAGS,
                          "--input-kind": ("compact_profile_psi", "rigid_defining_F"),
-                         "--expr": ("u/10", "", "exp(u)-1", "u^", "z", "1/(1+u)", "u^17"),
+                         "--expr": ("u/10", "", "exp(u)-1", "u^", "z", "1/(1+u)", "u^17",
+                                    "(" * 200 + "u" + ")" * 200, "1+" + "-" * 1500 + "u"),
                          "--radial-panels": ("1", "2", "0", "33", "x"),
                          "--angular-nodes": ("16", "64", "15", "2049", "x"),
                          "--tolerance": ("1e-6", "1e-300", "0", "-1", "nan", "x"),
-                         "--coeff-file": ("{good}",), "--order": ("8",),
+                         "--coeff-file": ("{good}", "{dir}/nonutf8.coeffs"),
+                         "--order": ("8", "\u0661\u0662", "1_2"),
                          **_DISPLAY_ORDER},
 }
 
@@ -682,6 +715,7 @@ def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "good.coeffs").write_text(dumps(parse_expression(F44, 10)))
     (path / "bad.coeffs").write_text("order 6\n1 1 one 0/1\n")
+    (path / "nonutf8.coeffs").write_bytes(b"order 6\n\xff\xfe 1 1 0\n")
     return path
 
 

@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 from cartanq.errors import ExpressionSyntaxError
-from cartanq.expr import parse_expression, parse_radial_polynomial, print_expression
+from cartanq.expr import (
+    MAX_NESTING,
+    parse_expression,
+    parse_radial_polynomial,
+    print_expression,
+)
 from cartanq.gaussrat import GaussianRational
 from cartanq.series import TruncatedSeries
 from conftest import random_real_series
@@ -106,6 +111,60 @@ def test_variables_truncate_at_order_zero(text):
     # a variable has degree 1, so at order 0 it truncates as a product does
     assert parse_expression(text, 0) == TruncatedSeries(0)
     assert parse_expression(f"2 + {text}", 0) == TruncatedSeries.constant(2, 0)
+
+
+# -- nesting and sign runs: bounded stack ------------------------------------------
+
+
+@pytest.mark.parametrize("parse", [parse_expression, parse_radial_polynomial])
+def test_nesting_up_to_the_bound_parses(parse):
+    var = "u" if parse is parse_radial_polynomial else "z"
+    text = "(" * MAX_NESTING + f"1+{var}" + ")" * MAX_NESTING
+    assert parse(text, 4) == parse(f"1+{var}", 4)
+    # a binary right operand at every level, the deepest stack per parenthesis
+    n = MAX_NESTING
+    text = "1+2*(" * n + var + ")" * n
+    assert parse(text, 4) == parse(f"{2**n - 1}+{2**n}*{var}", 4)
+
+
+@pytest.mark.parametrize("parse", [parse_expression, parse_radial_polynomial])
+@pytest.mark.parametrize("prefix", ["", "1+", "exp("])
+def test_nesting_past_the_bound_is_a_syntax_error(parse, prefix):
+    text = prefix + "(" * (MAX_NESTING + 100) + "1" + ")" * (MAX_NESTING + 100)
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text, 4)
+    # the first '(' past the bound; a function's own '(' counts
+    pos = len(prefix) - prefix.count("(") + MAX_NESTING
+    assert err.value.position == pos
+    assert str(err.value) == f"parentheses nested deeper than {MAX_NESTING} (at position {pos})"
+
+
+def test_closed_parentheses_do_not_count_toward_the_bound():
+    text = "+".join(["(" * MAX_NESTING + "z" + ")" * MAX_NESTING] * 3)
+    assert parse_expression(text, 4) == parse_expression("3*z", 4)
+
+
+@pytest.mark.parametrize("signs, expected", [
+    ("-" * 1501, "-z*zb"), ("-" * 1500, "z*zb"), ("+-" * 750 + "+", "z*zb"),
+], ids=["odd", "even", "mixed"])
+def test_sign_runs_fold_without_recursion(signs, expected):
+    assert parse_expression(signs + "z*zb", 4) == parse_expression(expected, 4)
+    assert parse_expression("1+" + signs + "z*zb", 4) == parse_expression(
+        "1+" + expected, 4)
+
+
+def test_dangling_sign_run_is_a_syntax_error():
+    text = "1+" + "-" * 1500
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text, 4)
+    assert err.value.position == len(text)
+
+
+@pytest.mark.parametrize("text, position", [("\u0661+z*zb", 0), ("1+z*\uff12", 4)])
+def test_non_ascii_digits_are_unexpected_characters(text, position):
+    with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+        parse_expression(text, 4)
+    assert err.value.position == position
 
 
 # -- numbers beyond the digit limit ------------------------------------------------

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from cartanq import invariants
 from cartanq.errors import (
+    CalibrationError,
     CartanQError,
     InsufficientOrderError,
     InsufficientProbesError,
@@ -135,6 +137,16 @@ def test_calibrate_c_probe_validation():
         calibrate_c([Fraction(1, 10), Fraction(1, 10), Fraction(1, 16)])
     with pytest.raises(InsufficientProbesError):
         calibrate_c([Fraction(0), Fraction(1, 10), Fraction(1, 16)])
+
+
+def test_calibrate_c_unknown_family_is_refused_before_the_first_probe(monkeypatch):
+    def refuse(chart):
+        raise AssertionError("probe computed")
+
+    monkeypatch.setattr(invariants, "cartan_s", refuse)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_c([1, 2, 3], family="a66")
+    assert str(err.value) == "unknown family 'a66'; known families: a44, a24"
 
 
 def test_lagrange_interpolation_exact():

@@ -18,8 +18,8 @@ from cartanq.series import (
 )
 from conftest import random_real_series, random_series
 
-Z = lambda n: TruncatedSeries.variable("z", n)
-ZB = lambda n: TruncatedSeries.variable("zb", n)
+Z = lambda n: TruncatedSeries(n, {(1, 0): 1})
+ZB = lambda n: TruncatedSeries(n, {(0, 1): 1})
 ONE = lambda n: TruncatedSeries.constant(1, n)
 
 

@@ -81,9 +81,17 @@ def unbuilt(monkeypatch):
     monkeypatch.setattr(seriesfile, "Fraction", refuse)
 
 
-@pytest.mark.parametrize("text", ["0.1", "-1/2", "1/10", "3", "2.5e-3", "-.5", "1_000"])
+@pytest.mark.parametrize("text", ["0.1", "-1/2", "1/10", "3", "2.5e-3", "-.5", " 1/3 "])
 def test_read_rational_reads_as_fraction(text):
     assert read_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0/3", "1/1_0", "1.5_0", "1e1_0",
+                                  "\u0661/2", "1/\uff12", "\u0661.5"])
+def test_read_rational_takes_ascii_digits_without_underscores(text):
+    with pytest.raises(ValueError) as err:
+        read_rational(text)
+    assert str(err.value) == f"Invalid literal for Fraction: {text!r}"
 
 
 @pytest.mark.parametrize(
@@ -119,13 +127,13 @@ def test_coefficient_beyond_the_digit_limit_unbuilt(unbuilt):
     assert "value has 200001 digits" in str(err.value)
 
 
-@pytest.mark.parametrize("text", ["0", "-12", "+3", "1_000", " 7 ", "1" * LIMIT])
+@pytest.mark.parametrize("text", ["0", "-12", "+3", " 7 ", "007", "1" * LIMIT])
 def test_read_int_reads_as_int(text):
     assert read_int(text) == int(text)
 
 
-@pytest.mark.parametrize("text", ["1" * (LIMIT + 1), "-" + "1" * (LIMIT + 1),
-                                  "1_" * LIMIT + "1"], ids=["plain", "signed", "underscores"])
+@pytest.mark.parametrize("text", ["1" * (LIMIT + 1), "-" + "1" * (LIMIT + 1)],
+                         ids=["plain", "signed"])
 def test_read_int_rejects_beyond_the_digit_limit(text):
     with pytest.raises(OverflowError) as err:
         read_int(text)
@@ -147,6 +155,47 @@ def test_integer_field_beyond_the_digit_limit(text, lineno):
     with pytest.raises(CoefficientFileError) as err:
         loads(text)
     assert str(err.value) == f"line {lineno}: {digit_limit_message(LIMIT + 1)}"
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_" * LIMIT + "1", "\u0661\u0662", "\uff12",
+                                  "-\u0663"],
+                         ids=["underscore", "underscores_beyond_the_limit", "arabic_indic",
+                              "fullwidth", "signed_arabic_indic"])
+def test_read_int_takes_ascii_digits_without_underscores(text):
+    with pytest.raises(ValueError) as err:
+        read_int(text)
+    assert str(err.value) == f"invalid literal for int() with base 10: {text!r:.200}"
+
+
+def test_non_ascii_and_underscored_fields_are_file_errors():
+    with pytest.raises(CoefficientFileError, match="line 1: bad order '1_2'"):
+        loads("order 1_2\n")
+    with pytest.raises(CoefficientFileError, match="line 1: bad order '\u0661\u0662'"):
+        loads("order \u0661\u0662\n")
+    with pytest.raises(CoefficientFileError, match="line 2: invalid literal for int"):
+        loads("order 4\n1_0 0 1 0\n")
+    with pytest.raises(CoefficientFileError, match="line 2: Invalid literal for Fraction"):
+        loads("order 4\n1 1 1_0 0\n")
+
+
+@pytest.mark.parametrize("data, lineno, byte", [
+    (b"\xff\xfe", 1, "0xff"),
+    (b"order 4\n1 1 1/2 0\n\xff\xfe 0 1 0\n", 3, "0xff"),
+    (b"order 4\n1 1 1/2 0\xc3\n", 2, "0xc3"),
+], ids=["first_line", "third_line", "truncated_sequence"])
+def test_non_utf8_file_is_a_coefficient_file_error(tmp_path, data, lineno, byte):
+    path = tmp_path / "bad.coeffs"
+    path.write_bytes(data)
+    with pytest.raises(CoefficientFileError) as err:
+        read_series(path)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: not UTF-8 text: byte {byte}"
+
+
+def test_crlf_file_reads_as_lf(tmp_path):
+    path = tmp_path / "crlf.coeffs"
+    path.write_bytes(b"order 4\r\n1 1 1/2 0\r\n")
+    assert read_series(path) == loads("order 4\n1 1 1/2 0\n")
 
 
 def test_non_numeric_integer_fields_keep_their_errors():
