@@ -10,10 +10,10 @@ linear coefficient off the Lagrange interpolant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Sequence, Tuple
 
 from .errors import (
     CalibrationError,
@@ -62,11 +62,13 @@ class RigidSurface:
         }
 
 
-@dataclass(frozen=True)
-class SphericityVerdict:
-    spherical: bool
-    verified_order: int
-    first_nonzero: Optional[Tuple[Tuple[int, int], GaussianRational]]
+class SphericityVerdict(
+    namedtuple("SphericityVerdict", "spherical verified_order first_nonzero")
+):
+    """Whether r vanishes through ``verified_order``; ``first_nonzero`` is
+    None or the first nonzero coefficient of r as ((k, l), GaussianRational)."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.spherical
@@ -95,7 +97,7 @@ def is_spherical(chart: SurfaceChart, order: int) -> SphericityVerdict:
 FAMILIES = {"a44": ((4, 4),), "a24": ((2, 4), (4, 2))}
 
 
-def lagrange_interpolate(points: Sequence[Tuple[Fraction, Fraction]]):
+def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]):
     """Exact Lagrange interpolation; returns coefficients, ascending degree."""
     n = len(points)
     coeffs = [Fraction(0)] * n
@@ -120,12 +122,17 @@ def lagrange_interpolate(points: Sequence[Tuple[Fraction, Fraction]]):
     return coeffs
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    c_value: Fraction
-    probe_family: str
-    epsilon_probes: Tuple[Fraction, ...]
-    interpolated_polynomial: Tuple[Fraction, ...]  # ascending in eps
+class CalibrationResult(
+    namedtuple(
+        "CalibrationResult",
+        "c_value probe_family epsilon_probes interpolated_polynomial",
+    )
+):
+    """The linear coefficient c (a Fraction) of Q;11(0) in eps, the family
+    name, the probes and the interpolant's coefficients, ascending in eps,
+    both as tuples of Fractions."""
+
+    __slots__ = ()
 
 
 def calibrate_c(
@@ -180,12 +187,13 @@ def calibrate_c(
     )
 
 
-@dataclass(frozen=True)
-class ScalingCheck:
-    t: Fraction
-    value_at_1: GaussianRational
-    value_at_t: GaussianRational
-    residual: GaussianRational
+class ScalingCheck(
+    namedtuple("ScalingCheck", "t value_at_1 value_at_t residual")
+):
+    """Q;11 at the center for |lambda|^2 = 1 and = t (a Fraction), and the
+    residual value_at_t * t^3 - value_at_1, all GaussianRationals."""
+
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
@@ -218,13 +226,13 @@ def weight3_scaling(chart: PseudohermitianChart, ts):
         value = q11_representative(
             chart, FiberPoint(GaussianRational(lam))
         ).constant_value()
-        t3 = GaussianRational(t * t * t)
+        t3 = t * t * t
         checks.append(
             ScalingCheck(
                 t=t,
                 value_at_1=base_value,
                 value_at_t=value,
-                residual=value * t3 - base_value,
+                residual=GaussianRational(value.re * t3, value.im * t3) - base_value,
             )
         )
     return checks

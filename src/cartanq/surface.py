@@ -15,8 +15,8 @@ when L is even, so only even words are accepted.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     InsufficientOrderError,

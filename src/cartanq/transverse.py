@@ -11,7 +11,7 @@ the same even-word engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidFiberPointError
 from .gaussrat import GaussianRational
@@ -27,19 +27,25 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class FiberPoint:
-    """The coordinate lambda on Cartan's bundle over the chart center.
+class FiberPoint(namedtuple("FiberPoint", "lam")):
+    """The coordinate lambda (a nonzero GaussianRational) on Cartan's bundle
+    over the chart center.
 
     The other fiber coordinates mu and rho never enter Q or Q;11 and are
     deliberately unrepresented.
     """
 
-    lam: GaussianRational
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lam:
+    def __new__(cls, lam):
+        if not lam:
             raise InvalidFiberPointError("fiber point requires lambda != 0")
+        return super().__new__(cls, lam)
+
+    @classmethod
+    def _make(cls, iterable):
+        # keeps _replace behind the lambda != 0 guard
+        return cls(*iterable)
 
 
 class PseudohermitianChart:
@@ -67,12 +73,11 @@ def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
     return base._cached("R", lambda: -(base.b.diff("zbar") * base.w_power(-1)))
 
 
-@dataclass(frozen=True)
-class FiberRepresentative:
-    """A bundle function of the form series(z, zbar) * scale(lambda)."""
+class FiberRepresentative(namedtuple("FiberRepresentative", "series scale")):
+    """A bundle function of the form series(z, zbar) * scale(lambda), with a
+    TruncatedSeries and a GaussianRational."""
 
-    series: TruncatedSeries
-    scale: GaussianRational
+    __slots__ = ()
 
     def constant_value(self) -> GaussianRational:
         return self.series.constant_term * self.scale
@@ -86,9 +91,10 @@ def q_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberReprese
 
 
 def q11_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberRepresentative:
-    """Q;11 = s / |lambda|^6; independent of mu."""
-    norm2 = p.lam * p.lam.conjugate()
-    scale = GaussianRational(1) / (norm2 * norm2 * norm2)
+    """Q;11 = s / |lambda|^6; independent of mu.  The scale is real, so it is
+    formed in rationals from |lambda|^2."""
+    norm2 = p.lam.re * p.lam.re + p.lam.im * p.lam.im
+    scale = GaussianRational(1 / (norm2 * norm2 * norm2))
     return FiberRepresentative(series=cartan_s(chart.base), scale=scale)
 
 

@@ -14,14 +14,19 @@ from cartanq.errors import (
 )
 from cartanq.gaussrat import GaussianRational
 from cartanq.invariants import (
+    CalibrationResult,
     RigidSurface,
+    ScalingCheck,
+    SphericityVerdict,
     calibrate_c,
     is_spherical,
     lagrange_interpolate,
     weight3_invariance_suite,
+    weight3_scaling,
 )
 from cartanq.series import TruncatedSeries
 from cartanq.surface import cartan_r, cartan_s
+from cartanq.transverse import FiberPoint, FiberRepresentative, PseudohermitianChart
 from conftest import flat_chart, one_plus_rho_chart, round_sphere_chart
 
 
@@ -29,6 +34,45 @@ def rigid(coeffs, order=12):
     base = {(1, 1): GaussianRational(1)}
     base.update({kl: GaussianRational(v) for kl, v in coeffs.items()})
     return RigidSurface(TruncatedSeries(order, base))
+
+
+# -- result records -------------------------------------------------------------------
+
+PROBES = (Fraction(1, 10), Fraction(1, 16), Fraction(1, 25))
+
+# class, its fields in constructor order, a function that builds fresh values
+RECORDS = [
+    (FiberPoint, "lam", lambda: (GaussianRational(1, 2),)),
+    (FiberRepresentative, "series scale",
+     lambda: (TruncatedSeries(4, {(1, 1): 1}), GaussianRational(Fraction(1, 125)))),
+    (SphericityVerdict, "spherical verified_order first_nonzero",
+     lambda: (False, 6, ((2, 0), GaussianRational(Fraction(5, 2))))),
+    (CalibrationResult, "c_value probe_family epsilon_probes interpolated_polynomial",
+     lambda: (Fraction(96), "a44", PROBES, (Fraction(0), Fraction(96)))),
+    (ScalingCheck, "t value_at_1 value_at_t residual",
+     lambda: (Fraction(4), GaussianRational(96), GaussianRational(Fraction(3, 2)),
+              GaussianRational(0))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, fields, values):
+    """Immutable values: built by position or keyword, equal and hashed by
+    their fields, and no attribute can be set."""
+    fields = fields.split()
+    record = cls(*values())
+    assert [getattr(record, name) for name in fields] == list(values())
+    again = cls(**dict(zip(fields, values())))
+    assert again == record and hash(again) == hash(record)
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_verdict_truth_is_its_sphericity():
+    for chart, order in ((flat_chart(), 10), (one_plus_rho_chart(), 6)):
+        verdict = is_spherical(chart, order)
+        assert bool(verdict) is verdict.spherical
 
 
 # -- RigidSurface gatekeeping ------------------------------------------------------
@@ -137,6 +181,19 @@ def test_calibrate_c_probe_validation():
         calibrate_c([Fraction(1, 10), Fraction(1, 10), Fraction(1, 16)])
     with pytest.raises(InsufficientProbesError):
         calibrate_c([Fraction(0), Fraction(1, 10), Fraction(1, 16)])
+    with pytest.raises(
+        InsufficientProbesError, match=r"^need at least 3 distinct nonzero probes$"
+    ):
+        calibrate_c(PROBES[:2])
+
+
+def test_calibrate_c_order_floor():
+    with pytest.raises(
+        InsufficientOrderError,
+        match=r"^Q;11\(0\) needs a defining function of order >= 8, got 7$",
+    ):
+        calibrate_c(PROBES, order=7)
+    assert calibrate_c(PROBES, order=8).c_value == 96
 
 
 def test_calibrate_c_unknown_family_is_refused_before_the_first_probe(monkeypatch):
@@ -169,6 +226,13 @@ def test_weight3_scaling_suite():
     assert by_t[Fraction(4)].value_at_t == by_t[Fraction(4)].value_at_1 / 64
     ratio = by_t[Fraction(9, 4)].value_at_t / by_t[Fraction(9, 4)].value_at_1
     assert ratio == GaussianRational(Fraction(4, 9) ** 3)
+
+
+@pytest.mark.parametrize("t", [0, -4, 2])
+def test_weight3_scaling_rejects_non_square_rescaling(t):
+    chart = PseudohermitianChart(rigid({}).chart)
+    with pytest.raises(ValueError, match=rf"^rescaling t = {t} is not a rational square$"):
+        weight3_scaling(chart, [t])
 
 
 def test_weight3_spherical_trivial():

@@ -74,6 +74,13 @@ def test_line_bundle_rejects_wrong_sign():
         phi_from_line_bundle_metric(expand("1+z*zb"))
 
 
+def test_line_bundle_order_floor():
+    with pytest.raises(InsufficientOrderError, match=r"^line-bundle metric needs order >= 4$"):
+        phi_from_line_bundle_metric(expand("(1+z*zb)^-1", 3))
+    chart = phi_from_line_bundle_metric(expand("(1+z*zb)^-1", 4))
+    assert chart.e2phi == expand("(1+z*zb)^-2", 2)
+
+
 def test_connection_coefficient_one_plus_rho():
     b = one_plus_rho_chart().b  # b = D(w)/w for w = 1 + z zb
     assert b == expand("zb*(1+z*zb)^-1", b.order)

@@ -89,6 +89,10 @@ def test_levi_normalization_random_metrics(seed, n):
 def test_fiber_point_validation():
     with pytest.raises(InvalidFiberPointError):
         FiberPoint(GaussianRational(0))
+    with pytest.raises(InvalidFiberPointError):
+        FiberPoint(lam=GaussianRational(0))
+    with pytest.raises(InvalidFiberPointError):
+        FiberPoint(GaussianRational(1))._replace(lam=GaussianRational(0))
     p = FiberPoint(GaussianRational(1, 2))  # lambda = 1 + 2i, |lambda|^6 = 125
     rep = q11_representative(pchart(flat_chart()), p)
     assert rep.scale == GaussianRational(Fraction(1, 125))
