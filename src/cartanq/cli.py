@@ -52,9 +52,9 @@ SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defini
 # Cost caps.  invariants on the 8-term polynomial e^{2phi} of README takes
 # 0.08 / 0.25 / 0.95 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  Every
 # quadrature integrand is evaluated on the 32 * panels radial nodes of the fine
-# pass only, 1024 at the cap.  calibrate-c grows roughly with the cube of its
-# probe count: 0.21 / 0.32 / 1.3 / 7.2 s for 3 / 32 / 64 / 100 probes at order
-# 12, whole process, and over 150 s for 300; 1.0 s for 32 probes at order 64.
+# pass only, 1024 at the cap.  calibrate-c runs the pipeline once per probe:
+# 0.14 / 0.18 s for 3 / 32 probes at order 12, whole process, and 0.64 s for 32
+# probes at order 64.
 MAX_ORDER = 64
 MAX_RADIAL_PANELS = 32
 MAX_PROBES = 32

@@ -51,12 +51,12 @@ class InsufficientOrderError(CartanQError):
 
 
 class InsufficientProbesError(CartanQError):
-    """Too few probe values to certify the interpolated polynomial degree."""
+    """Calibration probes that are fewer than 3, repeated or zero."""
 
 
 class CalibrationError(CartanQError):
-    """Calibration request for an unknown family, or an internal
-    inconsistency detected during calibration."""
+    """Calibration request for an unknown family, or a probe whose Q;11(0)
+    breaks the weight law Q;11(0) = c * eps."""
 
 
 class ExpressionSyntaxError(CartanQError):

@@ -1,11 +1,12 @@
 """Sphericity verdicts, normal-form coefficients, and calibration of the
 universal weight-3 constant.
 
-All values here are exact rationals; the only tolerance-free way to "measure"
-the constant relating Q;11 at the origin to the normal-form coefficient
-A^0_44 is to run the pipeline on the one-parameter family
-F_eps = z zbar + eps z^4 zbar^4 at several exact rational eps and read the
-linear coefficient off the Lagrange interpolant.
+All values here are exact rationals.  The constant relating Q;11 at the
+origin to the normal-form coefficient A^0_44 is measured on the one-parameter
+family F_eps = z zbar + eps z^4 zbar^4.  Q;11(0) is weighted-homogeneous of
+weight 6 in the coefficients of F, where a_kl has weight k + l - 2, so on
+this family it is exactly c * eps: one probe gives c, and every further probe
+must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -97,31 +98,6 @@ def is_spherical(chart: SurfaceChart, order: int) -> SphericityVerdict:
 FAMILIES = {"a44": ((4, 4),), "a24": ((2, 4), (4, 2))}
 
 
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]):
-    """Exact Lagrange interpolation; returns coefficients, ascending degree."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for j, (xj, yj) in enumerate(points):
-        # numerator polynomial prod_{k != j} (x - x_k), ascending coefficients
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k == j:
-                continue
-            denom *= xj - xk
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] += c * (-xk)
-                new[d + 1] += c
-            basis = new
-        scale = yj / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
 class CalibrationResult(
     namedtuple(
         "CalibrationResult",
@@ -129,8 +105,8 @@ class CalibrationResult(
     )
 ):
     """The linear coefficient c (a Fraction) of Q;11(0) in eps, the family
-    name, the probes and the interpolant's coefficients, ascending in eps,
-    both as tuples of Fractions."""
+    name, the probes and Q;11(0) as a polynomial in eps, ascending: (0, c),
+    or () when c = 0; both as tuples of Fractions."""
 
     __slots__ = ()
 
@@ -138,12 +114,12 @@ class CalibrationResult(
 def calibrate_c(
     probes: Sequence[Fraction], family: str = "a44", order: int = 12
 ) -> CalibrationResult:
-    """Linear coefficient of Q;11(0) as an exact polynomial in the family
-    parameter eps, under the package's fixed contact-form normalization.
+    """Linear coefficient c of Q;11(0) in the family parameter eps, under the
+    package's fixed contact-form normalization.
 
-    The interpolated degree must be certified by the probe count: if the
-    interpolant uses its full degree, the polynomial may not have stabilized
-    and more probes are required.
+    The pipeline runs once per probe.  By the weight law Q;11(0) = c * eps on
+    every family here, so the first probe sets c and each further probe must
+    give exactly c * eps; a probe that does not raises CalibrationError.
     """
     if family not in FAMILIES:
         raise CalibrationError(
@@ -160,30 +136,23 @@ def calibrate_c(
         raise InsufficientOrderError(
             f"Q;11(0) needs a defining function of order >= 8, got {order}"
         )
-    points = []
+    c = None
     for eps in probes:
         F = {(1, 1): 1, **dict.fromkeys(FAMILIES[family], eps)}
         value = cartan_s(RigidSurface(TruncatedSeries(order, F)).chart).constant_term
         if value.im:
             raise CalibrationError(f"Q;11(0) = {value} is not real at eps = {eps}")
-        points.append((eps, value.re))
-    poly = lagrange_interpolate(points)
-    if len(poly) == len(probes):
-        raise InsufficientProbesError(
-            f"interpolant of degree {len(poly) - 1} uses all {len(probes)} probes; "
-            "add probes until the degree stabilizes"
-        )
-    constant = poly[0] if poly else Fraction(0)
-    if constant:
-        raise CalibrationError(
-            f"interpolated polynomial has nonzero constant term {constant}"
-        )
-    linear = poly[1] if len(poly) > 1 else Fraction(0)
+        if c is None:
+            c = value.re / eps
+        elif value.re != c * eps:
+            raise CalibrationError(
+                f"Q;11(0) = {value.re} at eps = {eps}, not c * eps = {c * eps}"
+            )
     return CalibrationResult(
-        c_value=linear,
+        c_value=c,
         probe_family=family,
         epsilon_probes=probes,
-        interpolated_polynomial=tuple(poly),
+        interpolated_polynomial=(Fraction(0), c) if c else (),
     )
 
 

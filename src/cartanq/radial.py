@@ -93,7 +93,7 @@ def _binomial(m: int, n: int) -> list:
     out = [Fraction(1)]
     for j in range(n):
         out.append(out[-1] * (m - j) / (j + 1))
-    return out[: n + 1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -61,11 +61,10 @@ class SurfaceChart:
         """e^{2k phi} = w^k for an integer k; exact order N.
 
         Each power is derived once per chart, as the power next to it toward
-        w^0 times w or 1/w, so every formula that needs w^k shares one series."""
+        w^0 times w or 1/w (w^0 itself as w times 1/w), so every formula that
+        needs w^k shares one series."""
 
         def make():
-            if k == 0:
-                return TruncatedSeries.constant(1, self.order)
             if k == 1:
                 return self.e2phi
             if k == -1:

@@ -97,9 +97,16 @@ def test_sphericity_round_metric(capsys):
 
 
 def test_calibrate_c(capsys):
-    code, out = run(capsys, "calibrate-c", "--probes", "1/10,1/16,1/25")
-    assert code == 0
-    assert json.loads(out)["calibration"]["c"] == "96"
+    c96 = {"c": "96", "polynomial_in_eps": ["0", "96"], "constant_term_zero": True}
+    for argv, calibration in [
+        ((), c96),
+        (("--probes", "1/10,1/16,1/25"), c96),
+        (("--probes", "1/10,1/16,1/25,2,-3"), c96),
+        (("--family", "a24"), {"c": "0", "polynomial_in_eps": [], "constant_term_zero": True}),
+    ]:
+        code, out = run(capsys, "calibrate-c", *argv)
+        assert code == 0
+        assert json.loads(out)["calibration"] == calibration, argv
 
 
 def test_verify_identities_without_input(capsys):

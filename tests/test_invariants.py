@@ -20,7 +20,6 @@ from cartanq.invariants import (
     SphericityVerdict,
     calibrate_c,
     is_spherical,
-    lagrange_interpolate,
     weight3_invariance_suite,
     weight3_scaling,
 )
@@ -206,11 +205,43 @@ def test_calibrate_c_unknown_family_is_refused_before_the_first_probe(monkeypatc
     assert str(err.value) == "unknown family 'a66'; known families: a44, a24"
 
 
-def test_lagrange_interpolation_exact():
-    # y = x^2 - x/3 through three exact points
-    pts = [(Fraction(1), Fraction(2, 3)), (Fraction(2), Fraction(10, 3)),
-           (Fraction(-1), Fraction(4, 3))]
-    assert lagrange_interpolate(pts) == [Fraction(0), Fraction(-1, 3), Fraction(1)]
+# Test-only families.  eps on z zbar^4 + z^4 zbar (weight 3 each) adds an
+# eps^2 term of weight 6: Q;11(0) = 96 eps - 96 eps^2, off the law c * eps.
+# eps on z zbar^3 + z^3 zbar (weight 2 each) leaves Q;11(0) = 96 eps.
+NONLINEAR = ((1, 4), (4, 1), (4, 4))
+LINEAR = ((1, 3), (3, 1), (4, 4))
+
+
+@pytest.mark.parametrize("probes, message", [
+    (PROBES, "Q;11(0) = 45/8 at eps = 1/16, not c * eps = 27/5"),
+    ((1, Fraction(1, 10), 2), "Q;11(0) = 216/25 at eps = 1/10, not c * eps = 0"),
+], ids=["default_probes", "first_probe_zero"])
+def test_calibrate_c_refuses_a_family_off_the_weight_law(monkeypatch, probes, message):
+    monkeypatch.setitem(invariants.FAMILIES, "nonlinear", NONLINEAR)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_c(probes, family="nonlinear")
+    assert str(err.value) == message
+
+
+def test_calibrate_c_accepts_a_lower_weight_family_on_the_law(monkeypatch):
+    monkeypatch.setitem(invariants.FAMILIES, "linear", LINEAR)
+    result = calibrate_c(PROBES, family="linear")
+    assert result.c_value == 96
+    assert result.interpolated_polynomial == (Fraction(0), Fraction(96))
+
+
+@pytest.mark.parametrize("count", [3, 32])
+def test_calibrate_c_runs_the_pipeline_once_per_probe(monkeypatch, count):
+    calls = []
+
+    def counted(chart):
+        calls.append(chart)
+        return cartan_s(chart)
+
+    monkeypatch.setattr(invariants, "cartan_s", counted)
+    probes = [Fraction(1, d) for d in range(2, 2 + count)]
+    assert calibrate_c(probes).c_value == 96
+    assert len(calls) == count
 
 
 # -- weight-3 scaling -----------------------------------------------------------------------------

@@ -179,6 +179,13 @@ def test_covariant_words_commute_on_flat_charts(metric, commute):
         assert (len(values) == 1) == commute
 
 
+def test_empty_covariant_word_is_the_identity():
+    chart = one_plus_rho_chart()
+    assert chart.w_power(0) == TruncatedSeries.constant(1, N)
+    f = expand("3*z - zb^2/2 + z^2*zb + 5*z^3*zb^2/7 - z*zb^4 + z^6*zb")
+    assert covariant_derivative(f, (), chart) == f
+
+
 def test_covariant_word_length_guard():
     chart = flat_chart(order=4)
     K = gauss_curvature(chart)
