@@ -33,26 +33,6 @@ from .expr import parse_expression, print_expression
 
 __version__ = "0.1.0"
 
-# The compact-metric names are imported on first use (PEP 562): the quadrature
-# layer pulls in numpy and sympy, and neither it nor the exact closed forms of
-# radial are needed by the exact pipeline and the CLI, which start without them.
-_LAZY_MODULES = {
-    "CompactMetric": "radial",
-    "QuadratureScheme": "quadrature",
-    "calabi_identity_check": "quadrature",
-    "integrate_surface": "quadrature",
-    "rigidity_demo": "quadrature",
-}
-
-
-def __getattr__(name):
-    if name in _LAZY_MODULES:
-        from importlib import import_module
-
-        return getattr(import_module(f".{_LAZY_MODULES[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "GaussianRational",
     "TruncatedSeries",
@@ -76,11 +56,6 @@ __all__ = [
     "calibrate_c",
     "is_spherical",
     "weight3_invariance_suite",
-    "CompactMetric",
-    "QuadratureScheme",
-    "calabi_identity_check",
-    "integrate_surface",
-    "rigidity_demo",
     "parse_expression",
     "print_expression",
     "__version__",

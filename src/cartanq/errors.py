@@ -31,7 +31,8 @@ class SeriesDomainError(CartanQError):
 
 
 class NotStrictlyPseudoconvexError(CartanQError):
-    """The curvature -D Dbar log h has non-positive value at the chart center."""
+    """An h or e^{2phi} that is not real or not positive at the chart center,
+    or a curvature -D Dbar log h that is not positive there."""
 
 
 class MalformedDefiningFunctionError(CartanQError):

@@ -40,8 +40,8 @@ class RigidSurface:
     def __init__(self, F: TruncatedSeries):
         # shape checks shared with the chart constructor
         chart = phi_from_rigid_defining(F)
-        for (k, l), c in F.coeffs.items():
-            if (k == 0 or l == 0) and (k, l) != (0, 0) and c:
+        for k, l in F.coeffs:
+            if k == 0 or l == 0:
                 raise NormalFormViolationError(
                     f"harmonic term z^{k} zbar^{l} cannot be normalized here"
                 )

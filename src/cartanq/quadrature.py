@@ -23,8 +23,8 @@ of composite 16-point Gauss-Legendre in u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 import numpy as np
 import sympy as sp
@@ -86,16 +86,20 @@ def compile_radial(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
                        docstring_limit=0)
 
 
-@dataclass(frozen=True)
-class QuadratureScheme:
+class QuadratureScheme(namedtuple("QuadratureScheme", "radial_panels rel_tolerance")):
     """Composite 16-point Gauss-Legendre in u on ``radial_panels`` panels."""
 
-    radial_panels: int = 4
-    rel_tolerance: float = 1e-6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.radial_panels < 1:
+    def __new__(cls, radial_panels=4, rel_tolerance=1e-6):
+        if radial_panels < 1:
             raise ValueError("need at least one radial panel (16 nodes)")
+        return super().__new__(cls, radial_panels, rel_tolerance)
+
+    @classmethod
+    def _make(cls, iterable):
+        # keeps _replace behind the panel check
+        return cls(*iterable)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -161,11 +165,8 @@ def integrate_surface(integrand, metric: CompactMetric, scheme: QuadratureScheme
     return fine, abs(fine - coarse)
 
 
-@dataclass(frozen=True)
-class CalabiCheck:
-    lhs: float
-    rhs: float
-    relative_residual: float
+class CalabiCheck(namedtuple("CalabiCheck", "lhs rhs relative_residual")):
+    __slots__ = ()
 
     def passes(self, rel_tolerance: float) -> bool:
         return (
@@ -220,13 +221,10 @@ def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureSche
 SYMBOLIC_ORDER = 12
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    i2: float
-    i4: float
-    relative_gap: float
-    closed_form_spherical: bool
-    symbolic_spherical: bool
+class RigidityReport(namedtuple(
+    "RigidityReport", "i2 i4 relative_gap closed_form_spherical symbolic_spherical"
+)):
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

@@ -25,13 +25,12 @@ kept exactly as a Fraction coefficient list.  This module needs no float:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from numbers import Rational
-from typing import Callable, Sequence
 
 from .series import TruncatedSeries, exp_series
 from .surface import SurfaceChart
@@ -96,7 +95,6 @@ def _binomial(m: int, n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class RadialFunction:
     """The chart function z^k e^{c psi(u)} p(u) / (1 - u)^m.
 
@@ -109,23 +107,38 @@ class RadialFunction:
     empty.
     """
 
-    k: int
-    c: Fraction = Fraction(0)
-    m: int = 0
-    p: tuple = ()
-    psi: tuple = ()
-
-    def __post_init__(self):
-        psi, p, m = tuple(_trim(self.psi)), _trim(self.p), self.m
+    def __init__(self, k: int, c=0, m: int = 0, p=(), psi=()):
+        psi, p = tuple(_trim(psi)), _trim(p)
         while p and not sum(p):
             # p = (1 - u) q with q_j = p_0 + ... + p_j
             p = list(accumulate(p))[:-1]
             m -= 1
-        c = Fraction(self.c) if p and psi else Fraction(0)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "m", m if p else 0)
-        object.__setattr__(self, "p", tuple(p))
-        object.__setattr__(self, "psi", psi)
+        setattr_ = object.__setattr__
+        setattr_(self, "k", k)
+        setattr_(self, "c", Fraction(c) if p and psi else Fraction(0))
+        setattr_(self, "m", m if p else 0)
+        setattr_(self, "p", tuple(p))
+        setattr_(self, "psi", psi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RadialFunction is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RadialFunction is immutable")
+
+    def _key(self) -> tuple:
+        return self.k, self.c, self.m, self.p, self.psi
+
+    def __eq__(self, other):
+        if not isinstance(other, RadialFunction):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "RadialFunction(k={}, c={!r}, m={}, p={!r}, psi={!r})".format(*self._key())
 
     def _check_profile(self, other: "RadialFunction"):
         if other.psi != self.psi:
@@ -222,7 +235,6 @@ class RadialFunction:
                 TruncatedSeries(order, {(j, j): self.c * a for j, a in enumerate(rel)})
             )
         return series
-
 
     @cached_property
     def of_u(self) -> Callable:

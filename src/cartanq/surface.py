@@ -126,8 +126,8 @@ def phi_from_rigid_defining(F: TruncatedSeries) -> SurfaceChart:
         raise MalformedDefiningFunctionError("F must be a real series")
     if F.coeff(1, 1) != GaussianRational(1):
         raise MalformedDefiningFunctionError("F must have z*zbar coefficient 1")
-    for (k, l), c in F.coeffs.items():
-        if (k, l) != (1, 1) and k + l < 4 and c:
+    for k, l in F.coeffs:
+        if (k, l) != (1, 1) and k + l < 4:
             raise MalformedDefiningFunctionError(
                 f"F has a forbidden low-degree term at {(k, l)}"
             )

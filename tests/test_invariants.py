@@ -23,6 +23,7 @@ from cartanq.invariants import (
     weight3_invariance_suite,
     weight3_scaling,
 )
+from cartanq.quadrature import CalabiCheck, QuadratureScheme, RigidityReport
 from cartanq.series import TruncatedSeries
 from cartanq.surface import cartan_r, cartan_s
 from cartanq.transverse import FiberPoint, FiberRepresentative, PseudohermitianChart
@@ -51,6 +52,10 @@ RECORDS = [
     (ScalingCheck, "t value_at_1 value_at_t residual",
      lambda: (Fraction(4), GaussianRational(96), GaussianRational(Fraction(3, 2)),
               GaussianRational(0))),
+    (QuadratureScheme, "radial_panels rel_tolerance", lambda: (8, 1e-9)),
+    (CalabiCheck, "lhs rhs relative_residual", lambda: (2.5, 2.5, 0.0)),
+    (RigidityReport, "i2 i4 relative_gap closed_form_spherical symbolic_spherical",
+     lambda: (1.25, 1.25, 1e-12, False, False)),
 ]
 
 

@@ -151,6 +151,10 @@ def test_doubling_within_error_estimate():
 def test_scheme_validation():
     with pytest.raises(ValueError):
         QuadratureScheme(radial_panels=0)
+    with pytest.raises(ValueError):
+        QuadratureScheme()._replace(radial_panels=0)
+    assert QuadratureScheme() == QuadratureScheme(4, 1e-6)
+    assert QuadratureScheme(radial_panels=2).rel_tolerance == 1e-6
 
 
 def test_taylor_chart_matches_closed_form():
@@ -254,6 +258,17 @@ def test_exact_bridge_to_the_series_pipeline(name):
     assert s == (w * w * w * metric.k_zbar_zbar_z_z / -12).taylor(s.order)
 
 
+def test_radial_function_is_immutable():
+    f = BUMP.radial_polynomial([1, 2])
+    for name in ("k", "c", "m", "p", "psi", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f.of_u is f.of_u  # the compiled evaluator is still cached
+    assert f == BUMP.radial_polynomial([1, 2])
+
+
 def test_closed_form_curvature_of_fubini_study():
     assert FS.gauss_curvature == FS.radial_polynomial([4])
     assert FS.k_zbar_zbar.p == () and FS.k_zbar_zbar_z_z.p == ()
@@ -264,6 +279,12 @@ def test_closed_form_is_canonical():
     psi = BUMP.psi_coeffs
     # (1-u) / (1-u)^0 is 1 / (1-u)^-1
     assert RadialFunction(0, 0, 0, [1, -1], psi) == RadialFunction(0, 0, -1, [1], psi)
+    assert hash(RadialFunction(0, 0, 0, [1, -1], psi)) == hash(RadialFunction(0, 0, -1, [1], psi))
+    # c is 0 when psi is, trailing zeros are trimmed, and zero has c = m = 0
+    assert RadialFunction(2, 3, 1, [1, 0], [0, 0]) == RadialFunction(2, 0, 1, [1])
+    assert RadialFunction(1, 2, 5, [0, 0], psi) == RadialFunction(1, 0, 0, (), psi)
+    assert RadialFunction(0, 0, 0, [1], psi) != RadialFunction(1, 0, 0, [1], psi)
+    assert RadialFunction(0, 0, 0, [1], psi) != RadialFunction(0, 0, 0, [1])
     zero = BUMP.w - BUMP.w
     assert (zero.c, zero.m, zero.p) == (0, 0, ())
     assert BUMP.w + zero == zero + BUMP.w == BUMP.w  # zero has any weight

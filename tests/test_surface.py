@@ -179,6 +179,21 @@ def test_covariant_words_commute_on_flat_charts(metric, commute):
         assert (len(values) == 1) == commute
 
 
+@pytest.mark.parametrize(
+    "word", [("z", "zbar") * 3, ("zbar",) * 3 + ("z",) * 3, ("z",) * 4 + ("zbar",) * 2]
+)
+def test_six_letter_word_on_a_constant_chart(word):
+    # w = 2 has b = 0, so the word is its plain derivatives times w^{-3} = 1/8
+    chart = SurfaceChart(TruncatedSeries.constant(2, N))
+    f = expand("3*z - zb^2/2 + z^2*zb + 5*z^3*zb^2/7 - z*zb^4 + z^6*zb + z^4*zb^3")
+    plain = f
+    for letter in word:
+        plain = plain.diff(letter)
+    value = covariant_derivative(f, word, chart)
+    assert not value.is_zero
+    assert value == plain * Fraction(1, 8)
+
+
 def test_empty_covariant_word_is_the_identity():
     chart = one_plus_rho_chart()
     assert chart.w_power(0) == TruncatedSeries.constant(1, N)
