@@ -15,7 +15,6 @@ from .surface import (
 )
 from .transverse import (
     FiberPoint,
-    PseudohermitianChart,
     check_qisgauss_trans,
     q11_representative,
     q_representative,
@@ -45,7 +44,6 @@ __all__ = [
     "phi_from_line_bundle_metric",
     "phi_from_rigid_defining",
     "FiberPoint",
-    "PseudohermitianChart",
     "check_qisgauss_trans",
     "q_representative",
     "q11_representative",

@@ -19,6 +19,7 @@ from .errors import CartanQError, digit_limit_message
 from .expr import parse_expression, parse_radial_polynomial
 from .gaussrat import GaussianRational
 from .invariants import (
+    CALIBRATION_ORDER,
     FAMILIES,
     RigidSurface,
     calibrate_c,
@@ -38,7 +39,6 @@ from .surface import (
 )
 from .transverse import (
     FiberPoint,
-    PseudohermitianChart,
     check_qisgauss_trans,
     k_equals_2r_residual,
     q11_representative,
@@ -52,9 +52,8 @@ SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defini
 # Cost caps.  invariants on the 8-term polynomial e^{2phi} of README takes
 # 0.08 / 0.25 / 0.95 s at order 32 / 48 / 64 (2-CPU x86 host, Python 3.11).  Every
 # quadrature integrand is evaluated on the 32 * panels radial nodes of the fine
-# pass only, 1024 at the cap.  calibrate-c runs the pipeline once per probe:
-# 0.14 / 0.18 s for 3 / 32 probes at order 12, whole process, and 0.64 s for 32
-# probes at order 64.
+# pass only, 1024 at the cap.  calibrate-c runs the pipeline once per probe at
+# order 8: 0.09 / 0.10 s for 3 / 32 probes, whole process.
 MAX_ORDER = 64
 MAX_RADIAL_PANELS = 32
 MAX_PROBES = 32
@@ -259,23 +258,22 @@ def _bracket_entry(residual) -> dict:
     }
 
 
-def _chart_residuals(chart: PseudohermitianChart) -> dict:
+def _chart_residuals(chart: SurfaceChart) -> dict:
     """The exact curvature identities of one chart (the bracket identity does
     not depend on the chart and is added by the caller)."""
-    base = chart.base
-    g1, g2 = qisgauss_residuals(base)
+    g1, g2 = qisgauss_residuals(chart)
     t1, t2 = check_qisgauss_trans(chart)
     return {
         "qisgauss_identity_1": _residual_entry(g1),
         "qisgauss_identity_2": _residual_entry(g2),
         "qisgauss_trans_1": _residual_entry(t1),
         "qisgauss_trans_2": _residual_entry(t2),
-        "divergence_form": _residual_entry(divergence_form_residual(base)),
+        "divergence_form": _residual_entry(divergence_form_residual(chart)),
         "k_minus_2r": _residual_entry(k_equals_2r_residual(chart)),
     }
 
 
-def _weight3_entries(chart: PseudohermitianChart) -> dict:
+def _weight3_entries(chart: SurfaceChart) -> dict:
     entries = {}
     for check in weight3_scaling(chart, (4, Fraction(9, 4))):
         t = check.t
@@ -302,9 +300,8 @@ def _verdict_json(verdict) -> dict:
 
 def _cmd_curvature(args) -> int:
     chart, _, echo = _build_chart(args, 2)
-    pchart = PseudohermitianChart(chart)
     K = gauss_curvature(chart)
-    R = scalar_curvature_R(pchart)
+    R = scalar_curvature_R(chart)
     return _report(
         args, echo,
         series={"K": K, "R": R},
@@ -312,25 +309,24 @@ def _cmd_curvature(args) -> int:
             "K_at_center": _grat(K.constant_term),
             "R_at_center": _grat(R.constant_term),
         },
-        residuals={"k_minus_2r": _residual_entry(k_equals_2r_residual(pchart))},
+        residuals={"k_minus_2r": _residual_entry(k_equals_2r_residual(chart))},
     )
 
 
 def _cmd_invariants(args) -> int:
     chart, surface, echo = _build_chart(args, 6)
-    pchart = PseudohermitianChart(chart)
     K = gauss_curvature(chart)
-    R = scalar_curvature_R(pchart)
+    R = scalar_curvature_R(chart)
     r = cartan_r(chart)
     s = cartan_s(chart)
     p = FiberPoint(args.lam)
-    q_rep = q_representative(pchart, p)
-    q11_rep = q11_representative(pchart, p)
+    q_rep = q_representative(chart, p)
+    q11_rep = q11_representative(chart, p)
     verdict = is_spherical(chart, r.order)
 
-    residuals = _chart_residuals(pchart)
+    residuals = _chart_residuals(chart)
     residuals["bracket_identity"] = _bracket_entry(verify_bracket_identity())
-    residuals.update(_weight3_entries(pchart))
+    residuals.update(_weight3_entries(chart))
 
     return _report(
         args, echo,
@@ -363,11 +359,11 @@ def _cmd_sphericity(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    result = calibrate_c(args.probes, family=args.family, order=args.order)
+    result = calibrate_c(args.probes, family=args.family)
     return _report(
         args,
         {"probes": [_rat(p) for p in result.epsilon_probes],
-         "family": result.probe_family, "order": args.order},
+         "family": result.probe_family, "order": CALIBRATION_ORDER},
         calibration={
             "c": _rat(result.c_value),
             "polynomial_in_eps": [_rat(c) for c in result.interpolated_polynomial],
@@ -390,9 +386,8 @@ def _cmd_verify_identities(args) -> int:
     }
     if has_input:
         chart, _, echo = _build_chart(args, 6)
-        pchart = PseudohermitianChart(chart)
-        residuals.update(_chart_residuals(pchart))
-        residuals.update(_weight3_entries(pchart))
+        residuals.update(_chart_residuals(chart))
+        residuals.update(_weight3_entries(chart))
     else:
         echo = {"kind": None, "source": None, "order": args.order}
     return _report(args, echo, residuals=residuals)
@@ -516,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--probes", type=_parse_probes,
                      default=[Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)])
     sub.add_argument("--family", choices=tuple(FAMILIES), default="a44")
-    sub.add_argument("--order", type=_int_in(hi=MAX_ORDER), default=12,
-                     help=f"truncation order, at most {MAX_ORDER} (default 12)")
     _add_output_flags(sub)
     sub.set_defaults(func=_cmd_calibrate)
 

@@ -25,7 +25,7 @@ from .errors import (
 from .gaussrat import GaussianRational
 from .series import TruncatedSeries
 from .surface import SurfaceChart, cartan_r, cartan_s, phi_from_rigid_defining
-from .transverse import FiberPoint, PseudohermitianChart, q11_representative
+from .transverse import FiberPoint, q11_representative
 
 
 class RigidSurface:
@@ -111,9 +111,11 @@ class CalibrationResult(
     __slots__ = ()
 
 
-def calibrate_c(
-    probes: Sequence[Fraction], family: str = "a44", order: int = 12
-) -> CalibrationResult:
+# F is read through this degree: s(0) = Q;11(0) is exact on a chart of order 6.
+CALIBRATION_ORDER = 8
+
+
+def calibrate_c(probes: Sequence[Fraction], family: str = "a44") -> CalibrationResult:
     """Linear coefficient c of Q;11(0) in the family parameter eps, under the
     package's fixed contact-form normalization.
 
@@ -132,14 +134,10 @@ def calibrate_c(
         raise InsufficientProbesError("probe values must be nonzero")
     if len(probes) < 3:
         raise InsufficientProbesError("need at least 3 distinct nonzero probes")
-    if order < 8:
-        raise InsufficientOrderError(
-            f"Q;11(0) needs a defining function of order >= 8, got {order}"
-        )
     c = None
     for eps in probes:
         F = {(1, 1): 1, **dict.fromkeys(FAMILIES[family], eps)}
-        value = cartan_s(RigidSurface(TruncatedSeries(order, F)).chart).constant_term
+        value = cartan_s(RigidSurface(TruncatedSeries(CALIBRATION_ORDER, F)).chart).constant_term
         if value.im:
             raise CalibrationError(f"Q;11(0) = {value} is not real at eps = {eps}")
         if c is None:
@@ -179,7 +177,7 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-def weight3_scaling(chart: PseudohermitianChart, ts):
+def weight3_scaling(chart: SurfaceChart, ts):
     """Check Q;11(|lambda|^2 = t) * t^3 = Q;11(lambda = 1) exactly at the center.
 
     The rescalings t must be squares of rationals so that a real lambda with
@@ -209,4 +207,4 @@ def weight3_scaling(chart: PseudohermitianChart, ts):
 
 def weight3_invariance_suite(surface: RigidSurface, ts=(1, 4, Fraction(9, 4))):
     """:func:`weight3_scaling` on the chart of a rigid surface."""
-    return weight3_scaling(PseudohermitianChart(surface.chart), ts)
+    return weight3_scaling(surface.chart, ts)

@@ -19,6 +19,9 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("MultiPoly is immutable")
+
     @classmethod
     def constant(cls, value) -> "MultiPoly":
         if not isinstance(value, GaussianRational):

@@ -243,6 +243,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("TruncatedSeries is immutable")
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -48,29 +48,29 @@ class FiberPoint(namedtuple("FiberPoint", "lam")):
         return cls(*iterable)
 
 
-class PseudohermitianChart:
+class PseudohermitianChart(SurfaceChart):
     """Transverse-symmetry pseudohermitian structure over a surface chart.
 
-    The torsion vanishes structurally: the Reeb field of the symmetry is an
-    infinitesimal automorphism, so A_11 = 0.  The Levi normalization
-    (contact form theta = e^{-2phi} theta_0 with Levi form one against
-    theta^1 = dz) holds by construction: the d-theta coefficient b is
-    D(e^{2phi}) / e^{2phi}, so b e^{2phi} = D(e^{2phi}) in the series ring.
+    It carries no data beyond w: A_11 = 0 because the Reeb field of the
+    symmetry is an infinitesimal automorphism, and the Levi normalization
+    (Levi form one against theta^1 = dz) holds because b e^{2phi} =
+    D(e^{2phi}) in the series ring.  So it is the chart over the same w,
+    sharing its cache: every function here gives the same objects on either.
     """
 
     def __init__(self, base: SurfaceChart):
-        self.base = base
+        self.e2phi = base.e2phi
+        self._cache = base._cache
 
 
-def scalar_curvature_R(chart: PseudohermitianChart) -> TruncatedSeries:
+def scalar_curvature_R(chart: SurfaceChart) -> TruncatedSeries:
     """Pseudohermitian scalar curvature R = -2 e^{-2phi} D Dbar phi.
 
     Read off the connection form b = 2 D phi as R = -Dbar(b) e^{-2phi}, a
     derivation independent of the Gauss curvature formula, so K = 2R is a
     genuine cross-check; exact order N - 2.  Derived once per chart.
     """
-    base = chart.base
-    return base._cached("R", lambda: -(base.b.diff("zbar") * base.w_power(-1)))
+    return chart._cached("R", lambda: -(chart.b.diff("zbar") * chart.w_power(-1)))
 
 
 class FiberRepresentative(namedtuple("FiberRepresentative", "series scale")):
@@ -83,19 +83,19 @@ class FiberRepresentative(namedtuple("FiberRepresentative", "series scale")):
         return self.series.constant_term * self.scale
 
 
-def q_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberRepresentative:
+def q_representative(chart: SurfaceChart, p: FiberPoint) -> FiberRepresentative:
     """Q = r / (lambda lambdabar^3) at the fiber point p."""
     lam, lamb = p.lam, p.lam.conjugate()
     scale = GaussianRational(1) / (lam * lamb * lamb * lamb)
-    return FiberRepresentative(series=cartan_r(chart.base), scale=scale)
+    return FiberRepresentative(series=cartan_r(chart), scale=scale)
 
 
-def q11_representative(chart: PseudohermitianChart, p: FiberPoint) -> FiberRepresentative:
+def q11_representative(chart: SurfaceChart, p: FiberPoint) -> FiberRepresentative:
     """Q;11 = s / |lambda|^6; independent of mu.  The scale is real, so it is
     formed in rationals from |lambda|^2."""
     norm2 = p.lam.re * p.lam.re + p.lam.im * p.lam.im
     scale = GaussianRational(1 / (norm2 * norm2 * norm2))
-    return FiberRepresentative(series=cartan_s(chart.base), scale=scale)
+    return FiberRepresentative(series=cartan_s(chart), scale=scale)
 
 
 def verify_bracket_identity(perturb: bool = False) -> MultiPoly:
@@ -127,7 +127,7 @@ def verify_bracket_identity(perturb: bool = False) -> MultiPoly:
     return lhs - rhs
 
 
-def check_qisgauss_trans(chart: PseudohermitianChart):
+def check_qisgauss_trans(chart: SurfaceChart):
     """Exact residuals 6r + e^{4phi} R_{;1bar 1bar} and
     6s + e^{6phi} R_{;1bar 1bar 1 1}; both vanish identically.
 
@@ -135,14 +135,12 @@ def check_qisgauss_trans(chart: PseudohermitianChart):
     (k1 - e^{4phi} D_{;zbar zbar}) / 2 and (k2 - e^{6phi} D_{;zbar zbar z z}) / 2,
     where k1, k2 are the K residuals of :func:`qisgauss_residuals`.  They stay
     exact for any D; the words of the zero series cost almost nothing."""
-    base = chart.base
-    k1, k2 = qisgauss_residuals(base)
-    d2, d4 = weighted_words(k_equals_2r_residual(chart), base)
+    k1, k2 = qisgauss_residuals(chart)
+    d2, d4 = weighted_words(k_equals_2r_residual(chart), chart)
     half = GaussianRational(1) / 2
     return (k1 - d2) * half, (k2 - d4) * half
 
 
-def k_equals_2r_residual(chart: PseudohermitianChart) -> TruncatedSeries:
+def k_equals_2r_residual(chart: SurfaceChart) -> TruncatedSeries:
     """K - 2R; identically zero for every chart.  Derived once per chart."""
-    base = chart.base
-    return base._cached("K-2R", lambda: gauss_curvature(base) - scalar_curvature_R(chart) * 2)
+    return chart._cached("K-2R", lambda: gauss_curvature(chart) - scalar_curvature_R(chart) * 2)

@@ -1,6 +1,8 @@
-"""The benchmark's span pins: every span that ``perfbench/run.py --trace 1``
-requires on a workload still fires on the program.  The cli_oneshot cases run
-through ``cli.main`` in this process rather than one child process each.
+"""The benchmark's span pins and error contract: every span that
+``perfbench/run.py --trace 1`` requires on a workload still fires on the
+program, and every invalid cli_oneshot argv ends as the benchmark expects.
+The cli_oneshot cases run through ``cli.main`` in this process rather than one
+child process each.
 
 A refactor that renames or stops calling a traced function would otherwise
 break only the traced benchmark run.  ``perfbench/`` is read, never changed.
@@ -75,3 +77,24 @@ def test_every_cli_pinned_span_fires(bench, capsys, tmp_path):
     pinned = set(run.MUST_FIRE["cli_oneshot"]) - set(tracer.BENCH_SPANS)
     missing = sorted(n for n in pinned if not calls.get(n))
     assert missing == []
+
+
+def test_every_invalid_cli_argv_exits_1_with_one_error_line(bench, capsys, monkeypatch,
+                                                            tmp_path):
+    """Each argv of ``workloads.INVALID`` and ``workloads.KNOWN_DEFECTS`` passes
+    the benchmark's own check of an invalid input: exit 1, one ``error:``
+    line, no traceback.  A run draws only some of them; this runs them all."""
+    _, _, workloads = bench
+    from cartanq import cli
+
+    monkeypatch.chdir(tmp_path)  # a relative input path names no file here
+    for argv in workloads.INVALID + workloads.KNOWN_DEFECTS:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        captured = capsys.readouterr()
+        try:
+            workloads.cli_check({"expect": {"exit": 1}}, code, captured.out, captured.err)
+        except workloads.Failure as exc:
+            pytest.fail(f"{argv}: {exc}")

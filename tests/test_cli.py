@@ -494,10 +494,11 @@ def test_coefficient_beyond_the_digit_limit_exits_1(capsys, monkeypatch, tmp_pat
         ((*E2PHI[:3], "--expr", "1+z*zb", "--order", BIG), "--order"),
         ((*E2PHI, "--expr", "1+z*zb", "--display-order", BIG), "--display-order"),
         ((*E2PHI, "--expr", "1+z*zb", "--verify-order", BIG), "--verify-order"),
-        (("calibrate-c", "--order", BIG), "--order"),
+        (("verify-identities", "--order", BIG), "--order"),
         (("quadrature-check", "--radial-panels", BIG), "--radial-panels"),
     ],
-    ids=["order", "display_order", "verify_order", "calibrate_order", "radial_panels"],
+    ids=["order", "display_order", "verify_order", "verify_identities_order",
+         "radial_panels"],
 )
 def test_integer_flag_beyond_the_digit_limit_exits_1(capsys, argv, flag):
     """The error gives the digit count and names the flag, without the digits."""

@@ -191,15 +191,6 @@ def test_calibrate_c_probe_validation():
         calibrate_c(PROBES[:2])
 
 
-def test_calibrate_c_order_floor():
-    with pytest.raises(
-        InsufficientOrderError,
-        match=r"^Q;11\(0\) needs a defining function of order >= 8, got 7$",
-    ):
-        calibrate_c(PROBES, order=7)
-    assert calibrate_c(PROBES, order=8).c_value == 96
-
-
 def test_calibrate_c_unknown_family_is_refused_before_the_first_probe(monkeypatch):
     def refuse(chart):
         raise AssertionError("probe computed")

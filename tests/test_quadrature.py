@@ -19,6 +19,7 @@ from cartanq.quadrature import (
     integrate_surface,
     rigidity_demo,
 )
+from cartanq.series import TruncatedSeries
 from cartanq.surface import cartan_r, cartan_s
 from fractions import Fraction
 
@@ -162,6 +163,11 @@ def test_taylor_chart_matches_closed_form():
     # (1+z zb)^-2 expansion: alternating (k+1) coefficients on the diagonal
     for j in range(5):
         assert chart.e2phi.coeff(j, j).re == (-1) ** j * (j + 1)
+
+
+def test_taylor_below_the_z_grade_is_zero():
+    # z^5 has total degree 5, so its series through degree 2 holds no term
+    assert RadialFunction(5, 0, 0, [1]).taylor(2) == TruncatedSeries(2)
 
 
 # -- closed form ------------------------------------------------------------------------

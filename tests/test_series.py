@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cartanq.errors import OrderMismatchError, SeriesDomainError
 from cartanq.gaussrat import GaussianRational
+from cartanq.multipoly import MultiPoly
 from cartanq.series import (
     TruncatedSeries,
     differentiate,
@@ -41,6 +42,23 @@ def test_gaussian_rational_reduced_form():
 
 
 # -- arithmetic examples ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, name", [
+    (GaussianRational(1, 2), "re"),
+    (MultiPoly.var("b"), "terms"),
+    (TruncatedSeries(2, {(1, 1): 3}), "order"),
+], ids=["GaussianRational", "MultiPoly", "TruncatedSeries"])
+def test_exact_values_are_immutable(value, name):
+    """Neither setattr nor del changes an exact value: its repr, which reads
+    the attribute, is unchanged afterwards."""
+    text = repr(value)
+    message = f"^{type(value).__name__} is immutable$"
+    with pytest.raises(AttributeError, match=message):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match=message):
+        delattr(value, name)
+    assert repr(value) == text
 
 
 def test_mul_difference_of_squares():

@@ -12,7 +12,14 @@ from cartanq import transverse
 from cartanq.errors import InvalidFiberPointError
 from cartanq.expr import parse_expression
 from cartanq.gaussrat import GaussianRational
-from cartanq.surface import SurfaceChart, cartan_r, gauss_curvature, qisgauss_residuals
+from cartanq.invariants import weight3_scaling
+from cartanq.surface import (
+    SurfaceChart,
+    cartan_r,
+    cartan_s,
+    gauss_curvature,
+    qisgauss_residuals,
+)
 from cartanq.transverse import (
     FiberPoint,
     PseudohermitianChart,
@@ -55,14 +62,33 @@ def test_k_equals_2r(corpus):
 def test_scalar_curvature_derived_once_per_chart(products):
     """A chart pipeline asks for R three times, directly, in check_qisgauss_trans
     and in k_equals_2r_residual; it is one series product."""
-    pc = pchart(SurfaceChart(random_positive_metric(random.Random(11), 12)))
-    R = scalar_curvature_R(pc)
-    check_qisgauss_trans(pc)
-    k_equals_2r_residual(pc)
-    b_zbar = pc.base.b.diff("zbar")
+    chart = SurfaceChart(random_positive_metric(random.Random(11), 12))
+    R = scalar_curvature_R(chart)
+    check_qisgauss_trans(chart)
+    k_equals_2r_residual(chart)
+    b_zbar = chart.b.diff("zbar")
     assert sum(a == b_zbar and out == -R for a, _, out in products) == 1
     products.clear()
-    assert scalar_curvature_R(pchart(pc.base)) is R and products == []
+    assert scalar_curvature_R(pchart(chart)) is R and products == []
+
+
+def test_chart_and_its_pseudohermitian_view_share_results():
+    """Each function of the layer gives the same result on a SurfaceChart and
+    on PseudohermitianChart(chart), whichever is asked first: the two share
+    one cache, so a cached series is the same object."""
+    lam = FiberPoint(GaussianRational(1, 1))
+    for chart_first in (True, False):
+        chart = SurfaceChart(random_positive_metric(random.Random(7), 10))
+        pc = pchart(chart)
+        assert isinstance(pc, SurfaceChart) and pc.e2phi is chart.e2phi
+        first, second = (chart, pc) if chart_first else (pc, chart)
+        assert scalar_curvature_R(second) is scalar_curvature_R(first)
+        assert k_equals_2r_residual(second) is k_equals_2r_residual(first)
+        assert check_qisgauss_trans(second) == check_qisgauss_trans(first)
+        q, q11 = q_representative(first, lam), q11_representative(first, lam)
+        assert q_representative(second, lam) == q and q.series is cartan_r(second)
+        assert q11_representative(second, lam) == q11 and q11.series is cartan_s(second)
+        assert weight3_scaling(second, [4]) == weight3_scaling(first, [4])
 
 
 def levi_normalized(chart):
@@ -189,11 +215,10 @@ def test_qisgauss_trans(corpus):
 
 def test_trans_intermediates_nontrivial():
     # the identity is exercised, not vacuous: R-derivatives are nonzero here
-    pc = pchart(one_plus_rho_chart())
-    R = scalar_curvature_R(pc)
-    assert not R.is_zero
-    assert not gauss_curvature(pc.base).is_zero
-    assert not cartan_r(pc.base).is_zero
+    chart = one_plus_rho_chart()
+    assert not scalar_curvature_R(chart).is_zero
+    assert not gauss_curvature(chart).is_zero
+    assert not cartan_r(chart).is_zero
 
 
 def test_r_residuals_detect_a_wrong_sign_of_R(monkeypatch):
@@ -210,11 +235,11 @@ def test_r_residuals_detect_a_wrong_sign_of_R(monkeypatch):
 def test_r_residuals_reuse_the_k_residuals(products):
     # once the K residuals and R exist, the R residuals multiply only by the
     # zero series K - 2R: no product of two nonzero series is made
-    pc = pchart(SurfaceChart(random_positive_metric(random.Random(11), 12)))
-    k1, k2 = qisgauss_residuals(pc.base)
-    scalar_curvature_R(pc)
+    chart = SurfaceChart(random_positive_metric(random.Random(11), 12))
+    k1, k2 = qisgauss_residuals(chart)
+    scalar_curvature_R(chart)
     products.clear()
-    res1, res2 = check_qisgauss_trans(pc)
+    res1, res2 = check_qisgauss_trans(chart)
     assert res1.is_zero and res2.is_zero
     assert products and all(a.is_zero or b.is_zero for a, b, _ in products)
-    assert qisgauss_residuals(pc.base) == (k1, k2)
+    assert qisgauss_residuals(chart) == (k1, k2)
