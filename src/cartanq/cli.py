@@ -1,5 +1,5 @@
-"""Command-line surface: parse an input surface, run the pipelines, and emit
-deterministic machine-readable reports.
+"""Command-line surface: parse an input surface, run the pipelines, and print
+one deterministic JSON report on stdout.
 
 Exit codes: 0 success, 1 usage/domain error, 2 exact-identity violation (the
 tool's core promise is that every proved identity vanishes; a nonzero residual
@@ -55,6 +55,7 @@ SURFACE_KINDS = ("line_bundle_metric_h", "conformal_factor_e2phi", "rigid_defini
 # pass only, 1024 at the cap.  calibrate-c runs the pipeline once per probe at
 # order 8: 0.09 / 0.10 s for 3 / 32 probes, whole process.
 MAX_ORDER = 64
+DEFAULT_ORDER = 16
 MAX_RADIAL_PANELS = 32
 MAX_PROBES = 32
 
@@ -217,29 +218,8 @@ def _report(args, echo, *, series=None, values=None, residuals=None,
     report.update(values=values or {}, residuals=residuals or {},
                   verdicts=verdicts or {}, calibration=calibration,
                   version=__version__)
-    if args.format == "json":
-        text = json.dumps(report, indent=2)
-    else:
-        text = _render_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(report, indent=2))
     return _exit_code(report["residuals"])
-
-
-def _render_text(report: dict, prefix: str = "") -> str:
-    lines = []
-    for key, value in report.items():
-        if isinstance(value, dict):
-            lines.append(f"{prefix}{key}:")
-            lines.append(_render_text(value, prefix + "  "))
-        elif isinstance(value, list):
-            lines.append(f"{prefix}{key}: {json.dumps(value)}")
-        else:
-            lines.append(f"{prefix}{key}: {value}")
-    return "\n".join(lines)
 
 
 def _exit_code(residuals: dict) -> int:
@@ -353,9 +333,8 @@ def _cmd_invariants(args) -> int:
 def _cmd_sphericity(args) -> int:
     chart, _, echo = _build_chart(args, 4)
     r = cartan_r(chart)
-    order = r.order if args.verify_order is None else min(args.verify_order, r.order)
     return _report(args, echo, series={"r": r},
-                   verdicts=_verdict_json(is_spherical(chart, order)))
+                   verdicts=_verdict_json(is_spherical(chart, r.order)))
 
 
 def _cmd_calibrate(args) -> int:
@@ -376,6 +355,8 @@ def _cmd_verify_identities(args) -> int:
     has_input = args.expr is not None or args.coeff_file is not None
     if (args.input_kind is not None) != has_input:
         raise CartanQError("--input-kind and one of --expr/--coeff-file go together")
+    if args.order is not None and not has_input:
+        raise CartanQError("--order needs an input: --input-kind and one of --expr/--coeff-file")
     control = verify_bracket_identity(perturb=True)
     residuals = {
         "bracket_identity": _bracket_entry(verify_bracket_identity()),
@@ -385,11 +366,13 @@ def _cmd_verify_identities(args) -> int:
         },
     }
     if has_input:
+        if args.order is None:
+            args.order = DEFAULT_ORDER
         chart, _, echo = _build_chart(args, 6)
         residuals.update(_chart_residuals(chart))
         residuals.update(_weight3_entries(chart))
     else:
-        echo = {"kind": None, "source": None, "order": args.order}
+        echo = {"kind": None, "source": None, "order": DEFAULT_ORDER}
     return _report(args, echo, residuals=residuals)
 
 
@@ -456,28 +439,46 @@ def _add_surface_input(sub, required=True):
     group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--expr", help="expression in z, zb")
     group.add_argument("--coeff-file", help="path to a coefficient file")
-    sub.add_argument("--order", type=_int_in(hi=MAX_ORDER), default=16,
-                     help=f"truncation order, at most {MAX_ORDER} (default 16)")
-
-
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--out", default=None, help="write the report to a file")
+    # with an optional input --order defaults to None, so that it can be
+    # refused without one
+    sub.add_argument("--order", type=_int_in(hi=MAX_ORDER),
+                     default=DEFAULT_ORDER if required else None,
+                     help=f"truncation order, at most {MAX_ORDER} "
+                     f"(default {DEFAULT_ORDER})")
 
 
 def _add_series_command(subs, name, help, func):
     """A subcommand that reads a surface input and prints series."""
     sub = subs.add_parser(name, help=help)
     _add_surface_input(sub)
-    _add_output_flags(sub)
     sub.add_argument("--display-order", type=_int_in(lo=0), default=6,
                      help="echo series coefficients up to this total degree")
     sub.set_defaults(func=func)
     return sub
 
 
+# An unrecognized argument longer than this is shown by its length, as a
+# number beyond the digit limit is, so that the usage error stays one short line.
+_SHOWN_CHARS = 100
+
+
+def _brief(arg: str) -> str:
+    if len(arg) <= _SHOWN_CHARS:
+        return arg
+    flag, eq, value = arg.partition("=")
+    if eq and flag.startswith("-") and len(flag) <= _SHOWN_CHARS:
+        return f"{flag}=<{len(value)} characters>"
+    return f"<{len(arg)} characters>"
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1; exit code 2 is reserved for identity violations."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(map(_brief, extras)))
+        return args
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -503,21 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
                      default=GaussianRational(1),
                      help="fiber coordinate lambda as 're' or 're,im'")
 
-    sub = _add_series_command(subs, "sphericity", "sphericity verdict from r",
-                              _cmd_sphericity)
-    sub.add_argument("--verify-order", type=_int_in(lo=0), default=None)
+    _add_series_command(subs, "sphericity", "sphericity verdict from r",
+                        _cmd_sphericity)
 
     sub = subs.add_parser("calibrate-c", help="calibrate the weight-3 constant")
     sub.add_argument("--probes", type=_parse_probes,
                      default=[Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)])
     sub.add_argument("--family", choices=tuple(FAMILIES), default="a44")
-    _add_output_flags(sub)
     sub.set_defaults(func=_cmd_calibrate)
 
     sub = subs.add_parser("verify-identities",
                           help="bracket identity and per-input identity residuals")
     _add_surface_input(sub, required=False)
-    _add_output_flags(sub)
     sub.set_defaults(func=_cmd_verify_identities)
 
     sub = subs.add_parser("quadrature-check",
@@ -525,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--expr",
                      help="profile psi, a polynomial in u of degree at most 16 "
                      "(omitted: psi = 0, the Fubini-Study metric)")
-    _add_output_flags(sub)
     sub.add_argument("--radial-panels", type=_int_in(1, MAX_RADIAL_PANELS), default=4,
                      help=f"Gauss-Legendre panels in u, 1 to {MAX_RADIAL_PANELS} "
                      "(default 4)")

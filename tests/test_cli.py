@@ -185,24 +185,6 @@ def test_coeff_file_echoes_effective_order(tmp_path, capsys):
     assert report["series"]["K"]["order"] == 8
 
 
-def test_out_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code, _ = run(
-        capsys, "calibrate-c", "--out", str(target),
-    )
-    assert code == 0
-    assert json.loads(target.read_text())["calibration"]["c"] == "96"
-
-
-def test_text_format(capsys):
-    code, out = run(
-        capsys, "curvature", "--input-kind", "conformal_factor_e2phi",
-        "--expr", "(1+z*zb)^-2", "--order", "10", "--format", "text",
-    )
-    assert code == 0
-    assert "K_at_center: 4" in out
-
-
 # -- error and exit-code contract ---------------------------------------------------
 
 
@@ -244,6 +226,7 @@ def test_order_too_small_exits_1(capsys):
          "--expr", "(1+z*zb)^-2", "--order", "12", "--display-order", "-3"),
         ("calibrate-c", "--order", "6"),
         ("quadrature-check", "--radial-panels", "0"),
+        # --verify-order is no longer a flag: an unrecognized argument
         ("sphericity", "--input-kind", "conformal_factor_e2phi",
          "--expr", "1+z*zb", "--order", "8", "--verify-order", "-3"),
         # a bad tolerance must not turn a 3e-14 Calabi residual into exit 2
@@ -298,6 +281,30 @@ def test_input_that_ran_or_raised_before_exits_1(capsys, tmp_path, argv, error):
     assert (code, out, errors) == (1, "", [error])
 
 
+# A valid argv of each subcommand, so that only the flag added to it can fail.
+VALID = {
+    "curvature": ("curvature", "--input-kind", "conformal_factor_e2phi",
+                  "--expr", "1+z*zb", "--order", "8"),
+    "invariants": ("invariants", "--input-kind", "conformal_factor_e2phi",
+                   "--expr", "1+z*zb", "--order", "8"),
+    "sphericity": ("sphericity", "--input-kind", "conformal_factor_e2phi",
+                   "--expr", "1+z*zb", "--order", "8"),
+    "calibrate-c": ("calibrate-c",),
+    "verify-identities": ("verify-identities",),
+    "quadrature-check": ("quadrature-check",),
+}
+# The flags that only restated the one JSON report, with the subcommands that
+# took them.
+REMOVED_FLAGS = {
+    "--format": ("json", tuple(VALID)),
+    "--out": (os.devnull, tuple(VALID)),
+    "--verify-order": ("12", ("sphericity",)),
+}
+REMOVED = [((*VALID[command], flag, value),
+            f"{command}_{flag[2:]}".replace("-", "_"))
+           for flag, (value, commands) in REMOVED_FLAGS.items() for command in commands]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -313,12 +320,15 @@ def test_input_that_ran_or_raised_before_exits_1(capsys, tmp_path, argv, error):
         ("quadrature-check", "--expr", "exp(u)-1"),
         ("quadrature-check", "--expr", "1/(1+u)"),
         ("quadrature-check", "--expr", "1/(1+u^18)"),
+        ("verify-identities", "--order", "12"),
+        *[argv for argv, _ in REMOVED],
     ],
     ids=["quadrature_coeff_file", "quadrature_order", "quadrature_display_order",
          "quadrature_angular_nodes", "quadrature_input_kind",
          "calibrate_display_order", "verify_display_order", "verify_kind_without_input",
          "surface_profile_kind", "profile_exp", "profile_reciprocal",
-         "profile_reciprocal_far_term"],
+         "profile_reciprocal_far_term", "verify_order_without_input",
+         *[name for _, name in REMOVED]],
 )
 def test_flag_a_subcommand_would_ignore_exits_1(capsys, argv):
     """A flag the subcommand does not read, or an input it would silently
@@ -493,12 +503,10 @@ def test_coefficient_beyond_the_digit_limit_exits_1(capsys, monkeypatch, tmp_pat
     [
         ((*E2PHI[:3], "--expr", "1+z*zb", "--order", BIG), "--order"),
         ((*E2PHI, "--expr", "1+z*zb", "--display-order", BIG), "--display-order"),
-        ((*E2PHI, "--expr", "1+z*zb", "--verify-order", BIG), "--verify-order"),
         (("verify-identities", "--order", BIG), "--order"),
         (("quadrature-check", "--radial-panels", BIG), "--radial-panels"),
     ],
-    ids=["order", "display_order", "verify_order", "verify_identities_order",
-         "radial_panels"],
+    ids=["order", "display_order", "verify_identities_order", "radial_panels"],
 )
 def test_integer_flag_beyond_the_digit_limit_exits_1(capsys, argv, flag):
     """The error gives the digit count and names the flag, without the digits."""
@@ -506,6 +514,37 @@ def test_integer_flag_beyond_the_digit_limit_exits_1(capsys, argv, flag):
     assert (code, out) == (1, "")
     assert errors == [f"cartanq {argv[0]}: error: argument {flag}: "
                       f"{digit_limit_message(len(BIG))}"]
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        *[((*argv[:-1], LONG), argv[-2]) for argv, _ in REMOVED],
+        (("calibrate-c", "--out=" + LONG), "--out"),
+        ((*E2PHI, "--expr", "1+z*zb", "--verify-order", BIG), "--verify-order"),
+        (("calibrate-c", "--order", LONG), "--order"),
+    ],
+    ids=[*[name for _, name in REMOVED], "calibrate_out_joined", "verify_order",
+         "calibrate_order"],
+)
+def test_unrecognized_flag_with_a_long_value_exits_1(capsys, argv, flag):
+    """The usage error names the unknown flag and gives the length of a long
+    value, not its text."""
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, len(errors)) == (1, "", 1)
+    assert len(errors[0]) <= 200 and flag in errors[0]
+    assert f"<{len(argv[-1].split('=')[-1])} characters>" in errors[0]
+
+
+def test_unrecognized_arguments_error_line(capsys):
+    code, out, errors = run_rejected(
+        capsys, (*VALID["sphericity"], "--verify-order", BIG, "--out", "report.json"))
+    assert (code, out) == (1, "")
+    assert errors == ["cartanq: error: unrecognized arguments: "
+                      "--verify-order <4301 characters> --out report.json"]
 
 
 def _probes(n):
@@ -665,6 +704,8 @@ _SURFACE_FLAGS = {
     "--coeff-file": ("{good}", "{bad}", "{dir}/missing.coeffs", "{dir}/nonutf8.coeffs"),
     "--order": ("4", "6", "8", "12", "3", "-1", "65", "x", "1.5", "\u0661\u0662", "1_2"),
 }
+# Flags that no subcommand takes: --format and --out were removed (as was
+# sphericity's --verify-order below), and --bogus never existed.
 _OUTPUT_FLAGS = {
     "--format": ("json", "text", "xml"),
     "--out": ("{dir}/report.json", "{dir}/missing/report.json"),
