@@ -22,13 +22,12 @@ from .transverse import (
     verify_bracket_identity,
 )
 from .invariants import (
-    CalibrationResult,
     RigidSurface,
     calibrate_c,
     is_spherical,
     weight3_invariance_suite,
 )
-from .expr import parse_expression, print_expression
+from .expr import parse_expression
 
 __version__ = "0.1.0"
 
@@ -50,11 +49,9 @@ __all__ = [
     "scalar_curvature_R",
     "verify_bracket_identity",
     "RigidSurface",
-    "CalibrationResult",
     "calibrate_c",
     "is_spherical",
     "weight3_invariance_suite",
     "parse_expression",
-    "print_expression",
     "__version__",
 ]

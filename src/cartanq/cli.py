@@ -338,16 +338,12 @@ def _cmd_sphericity(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    result = calibrate_c(args.probes, family=args.family)
+    c = calibrate_c(args.probes, family=args.family)
     return _report(
         args,
-        {"probes": [_rat(p) for p in result.epsilon_probes],
-         "family": result.probe_family, "order": CALIBRATION_ORDER},
-        calibration={
-            "c": _rat(result.c_value),
-            "polynomial_in_eps": [_rat(c) for c in result.interpolated_polynomial],
-            "constant_term_zero": True,
-        },
+        {"probes": [_rat(p) for p in args.probes],
+         "family": args.family, "order": CALIBRATION_ORDER},
+        calibration={"c": _rat(c)},
     )
 
 
@@ -372,7 +368,7 @@ def _cmd_verify_identities(args) -> int:
         residuals.update(_chart_residuals(chart))
         residuals.update(_weight3_entries(chart))
     else:
-        echo = {"kind": None, "source": None, "order": DEFAULT_ORDER}
+        echo = {"kind": None, "source": None, "order": None}
     return _report(args, echo, residuals=residuals)
 
 
@@ -472,7 +468,13 @@ def _brief(arg: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1; exit code 2 is reserved for identity violations."""
+    """Usage errors exit 1; exit code 2 is reserved for identity violations.
+    A flag is matched only when spelled in full: a prefix that ran as the flag
+    it starts would change meaning when a flag is added or removed.  The
+    subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)

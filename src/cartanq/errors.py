@@ -40,7 +40,8 @@ class MalformedDefiningFunctionError(CartanQError):
 
 
 class NormalFormViolationError(MalformedDefiningFunctionError):
-    """Defining series violates the normal-form trace conditions."""
+    """Defining series holds a term that normal form removes: a harmonic
+    term, a trace term, or a term z^k zbar or z zbar^k with k >= 3."""
 
 
 class InvalidFiberPointError(CartanQError):

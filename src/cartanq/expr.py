@@ -250,23 +250,3 @@ def parse_radial_polynomial(text: str, max_degree: int = 16):
     degree = max(coeffs, default=0)
     return [coeffs.get(j, 0) for j in range(degree + 1)]
 
-
-def print_expression(s: TruncatedSeries) -> str:
-    """Canonical printer; parse(print(s), s.order) reproduces s exactly."""
-    if s.is_zero:
-        return "0"
-    # the grammar has no literal for i
-    if any(c.im for c in s.coeffs.values()):
-        raise ValueError("canonical printer only supports real-coefficient series")
-    parts = []
-    for (k, l), c in s.coeffs.items():
-        mon = []
-        if k:
-            mon.append(f"z^{k}")
-        if l:
-            mon.append(f"zb^{l}")
-        q = c.re
-        term = "*".join([f"{abs(q.numerator)}/{q.denominator}"] + mon)
-        parts.append(("-" if q < 0 else "+") + term)
-    text = "".join(parts)
-    return text[1:] if text.startswith("+") else text

@@ -32,9 +32,10 @@ class RigidSurface:
     """Rigid hypersurface Im w = F(z, zbar) already in pre-normal form.
 
     Inputs violating the trace conditions A^0_22 = A^0_23 = A^0_32 = A^0_33
-    = 0 or containing harmonic terms z^k / zbar^l are rejected rather than
-    normalized: the full normalization algorithm is out of scope, and
-    accepting such inputs would silently change the meaning of A^0_44.
+    = 0 or containing harmonic terms z^k / zbar^l or terms z^k zbar / z zbar^k
+    (k >= 3) are rejected rather than normalized: the full normalization
+    algorithm is out of scope, and accepting such inputs would silently
+    change the meaning of A^0_44.
     """
 
     def __init__(self, F: TruncatedSeries):
@@ -44,6 +45,10 @@ class RigidSurface:
             if k == 0 or l == 0:
                 raise NormalFormViolationError(
                     f"harmonic term z^{k} zbar^{l} cannot be normalized here"
+                )
+            if min(k, l) == 1 and (k, l) != (1, 1):
+                raise NormalFormViolationError(
+                    f"term z^{k} zbar^{l} cannot be normalized here"
                 )
         for kl in ((2, 2), (2, 3), (3, 2), (3, 3)):
             if F.coeff(*kl):
@@ -98,24 +103,11 @@ def is_spherical(chart: SurfaceChart, order: int) -> SphericityVerdict:
 FAMILIES = {"a44": ((4, 4),), "a24": ((2, 4), (4, 2))}
 
 
-class CalibrationResult(
-    namedtuple(
-        "CalibrationResult",
-        "c_value probe_family epsilon_probes interpolated_polynomial",
-    )
-):
-    """The linear coefficient c (a Fraction) of Q;11(0) in eps, the family
-    name, the probes and Q;11(0) as a polynomial in eps, ascending: (0, c),
-    or () when c = 0; both as tuples of Fractions."""
-
-    __slots__ = ()
-
-
 # F is read through this degree: s(0) = Q;11(0) is exact on a chart of order 6.
 CALIBRATION_ORDER = 8
 
 
-def calibrate_c(probes: Sequence[Fraction], family: str = "a44") -> CalibrationResult:
+def calibrate_c(probes: Sequence[Fraction], family: str = "a44") -> Fraction:
     """Linear coefficient c of Q;11(0) in the family parameter eps, under the
     package's fixed contact-form normalization.
 
@@ -146,12 +138,7 @@ def calibrate_c(probes: Sequence[Fraction], family: str = "a44") -> CalibrationR
             raise CalibrationError(
                 f"Q;11(0) = {value.re} at eps = {eps}, not c * eps = {c * eps}"
             )
-    return CalibrationResult(
-        c_value=c,
-        probe_family=family,
-        epsilon_probes=probes,
-        interpolated_polynomial=(Fraction(0), c) if c else (),
-    )
+    return c
 
 
 class ScalingCheck(

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -97,22 +98,27 @@ def test_sphericity_round_metric(capsys):
 
 
 def test_calibrate_c(capsys):
-    c96 = {"c": "96", "polynomial_in_eps": ["0", "96"], "constant_term_zero": True}
-    for argv, calibration in [
-        ((), c96),
-        (("--probes", "1/10,1/16,1/25"), c96),
-        (("--probes", "1/10,1/16,1/25,2,-3"), c96),
-        (("--family", "a24"), {"c": "0", "polynomial_in_eps": [], "constant_term_zero": True}),
+    default = ["1/10", "1/16", "1/25"]
+    for argv, probes, family, c in [
+        ((), default, "a44", "96"),
+        (("--probes", "1/10,1/16,1/25"), default, "a44", "96"),
+        (("--probes", "1/10,1/16,1/25,2,-3"), [*default, "2", "-3"], "a44", "96"),
+        (("--family", "a24"), default, "a24", "0"),
     ]:
         code, out = run(capsys, "calibrate-c", *argv)
         assert code == 0
-        assert json.loads(out)["calibration"] == calibration, argv
+        report = json.loads(out)
+        assert report["input"] == {"probes": probes, "family": family, "order": 8}, argv
+        assert report["calibration"] == {"c": c}, argv
 
 
 def test_verify_identities_without_input(capsys):
     code, out = run(capsys, "verify-identities")
     assert code == 0
-    residuals = json.loads(out)["residuals"]
+    report = json.loads(out)
+    # nothing ran at a truncation order
+    assert report["input"] == {"kind": None, "source": None, "order": None}
+    residuals = report["residuals"]
     assert residuals["bracket_identity"]["exact_zero"] is True
     assert residuals["bracket_negative_control_nonzero"]["exact_zero"] is True
 
@@ -335,6 +341,80 @@ def test_flag_a_subcommand_would_ignore_exits_1(capsys, argv):
     truncate, is a usage error rather than a no-op."""
     code, out, errors = run_rejected(capsys, argv)
     assert (code, out, len(errors)) == (1, "", 1)
+
+
+# A valid argv of each subcommand that spells every flag it takes but
+# --coeff-file and --help; --coeff-file goes in the place of --expr.
+FULL = {
+    "curvature": ("--input-kind", "conformal_factor_e2phi", "--expr", "1+z*zb",
+                  "--order", "8", "--display-order", "3"),
+    "invariants": ("--input-kind", "conformal_factor_e2phi", "--expr", "1+z*zb",
+                   "--order", "8", "--display-order", "3", "--lambda", "2"),
+    "sphericity": ("--input-kind", "conformal_factor_e2phi", "--expr", "1+z*zb",
+                   "--order", "8", "--display-order", "3"),
+    "calibrate-c": ("--probes", "1/10,1/16,1/25", "--family", "a24"),
+    "verify-identities": ("--input-kind", "conformal_factor_e2phi", "--expr", "1+z*zb",
+                          "--order", "8"),
+    "quadrature-check": ("--expr", "u/10", "--radial-panels", "2", "--tolerance", "1e-6"),
+}
+
+
+def _flag_cases():
+    """(valid argv, index of a flag in it) for every -- flag of the parser and
+    of each subcommand."""
+    cases = [(["--help"], 0), (["--version"], 0)]
+    for command, argv in FULL.items():
+        argv = [command, *argv]
+        cases += [(argv, i) for i, arg in enumerate(argv) if arg.startswith("--")]
+        cases.append(([command, "--help"], 1))
+        if "--input-kind" in argv:
+            i = argv.index("--expr")
+            cases.append(([*argv[:i], "--coeff-file", "{coeffs}", *argv[i + 2:]], i))
+    return cases
+
+
+FLAG_CASES = _flag_cases()
+
+
+def _long_flags(parser):
+    return {flag for a in parser._actions for flag in a.option_strings
+            if flag.startswith("--")}
+
+
+def test_flag_cases_cover_every_flag():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {(None, flag) for flag in _long_flags(parser)}
+    flags |= {(name, flag) for name, sub in subparsers.choices.items()
+              for flag in _long_flags(sub)}
+    covered = {(argv[0] if i else None, argv[i]) for argv, i in FLAG_CASES}
+    assert covered == flags
+
+
+@pytest.mark.parametrize("argv, i", FLAG_CASES,
+                         ids=[f"{argv[0] if i else 'cartanq'}_{argv[i][2:]}"
+                              for argv, i in FLAG_CASES])
+def test_flag_prefix_is_a_usage_error(capsys, tmp_path, argv, i):
+    """A flag is matched only when spelled in full: each proper prefix of it,
+    from --x on, exits 1 with one `error:` line, in place of the flag and
+    joined to its value, while the full spelling runs."""
+    from cartanq.expr import parse_expression
+
+    path = tmp_path / "metric.coeffs"
+    path.write_text(dumps(parse_expression("1+z*zb", 8)))
+    argv = [a.replace("{coeffs}", str(path)) for a in argv]
+    code, _, err = outcome(capsys, argv)
+    assert (code, err) == (0, "")
+    flag = argv[i]
+    has_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+    for n in range(3, len(flag)):
+        cases = [[*argv[:i], flag[:n], *argv[i + 1:]]]
+        if has_value:
+            cases.append([*argv[:i], f"{flag[:n]}={argv[i + 1]}", *argv[i + 2:]])
+        for prefixed in cases:
+            code, out, errors = run_rejected(capsys, prefixed)
+            assert (code, out, len(errors)) == (1, "", 1), prefixed
 
 
 _LH = "exp(-z*zb - z^2*zb^2/7)"
@@ -680,6 +760,21 @@ def test_readme_cli_table_matches_the_parser():
         for name, sub in subparsers.choices.items()
     }
     assert documented == parsed
+
+
+def test_readme_examples_run(capsys):
+    """Each `cartanq` command of README's CLI examples exits 0 with nothing
+    on stderr."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["cartanq"]]
+    assert {argv[0] for argv in commands} == set(FULL)
+    for argv in commands:
+        code, out, err = outcome(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert set(json.loads(out)) >= {"input", "version"}
 
 
 def test_readme_names_the_quadrature_verdicts(capsys):

@@ -1,7 +1,6 @@
-"""Expression grammar: exact expansion, error positions, printer round trip."""
+"""Expression grammar: exact expansion, error positions, radial profiles."""
 
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -12,11 +11,8 @@ from cartanq.expr import (
     MAX_NESTING,
     parse_expression,
     parse_radial_polynomial,
-    print_expression,
 )
-from cartanq.gaussrat import GaussianRational
 from cartanq.series import TruncatedSeries
-from conftest import random_real_series
 
 
 def test_binomial_series():
@@ -63,22 +59,6 @@ def test_whitespace_insensitive():
     assert parse_expression(" ( 1 + z * zb ) ^ 2 ", 5) == parse_expression(
         "(1+z*zb)^2", 5
     )
-
-
-def test_printer_round_trip_random():
-    # the grammar has no imaginary literal, so the printer covers exactly the
-    # real-coefficient series
-    rng = random.Random(3)
-    for _ in range(25):
-        raw = random_real_series(rng, 6)
-        s = TruncatedSeries(
-            raw.order, {kl: c.re for kl, c in raw.coeffs.items()}
-        )
-        assert parse_expression(print_expression(s), s.order) == s
-    assert parse_expression(print_expression(TruncatedSeries(4)), 4).is_zero
-    for imaginary in (GaussianRational(0, 1), GaussianRational(2, 1)):
-        with pytest.raises(ValueError):
-            print_expression(TruncatedSeries(4, {(0, 0): 1, (1, 1): imaginary}))
 
 
 def test_radial_polynomial():

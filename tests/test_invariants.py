@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanq import invariants
 from cartanq.errors import (
@@ -14,7 +16,6 @@ from cartanq.errors import (
 )
 from cartanq.gaussrat import GaussianRational
 from cartanq.invariants import (
-    CalibrationResult,
     RigidSurface,
     ScalingCheck,
     SphericityVerdict,
@@ -47,8 +48,6 @@ RECORDS = [
      lambda: (TruncatedSeries(4, {(1, 1): 1}), GaussianRational(Fraction(1, 125)))),
     (SphericityVerdict, "spherical verified_order first_nonzero",
      lambda: (False, 6, ((2, 0), GaussianRational(Fraction(5, 2))))),
-    (CalibrationResult, "c_value probe_family epsilon_probes interpolated_polynomial",
-     lambda: (Fraction(96), "a44", PROBES, (Fraction(0), Fraction(96)))),
     (ScalingCheck, "t value_at_1 value_at_t residual",
      lambda: (Fraction(4), GaussianRational(96), GaussianRational(Fraction(3, 2)),
               GaussianRational(0))),
@@ -98,6 +97,63 @@ def test_rigid_surface_rejects_trace_violations():
             rigid({kl: 1})
     with pytest.raises(NormalFormViolationError):
         rigid({(2, 3): 1, (3, 2): 1})
+
+
+def test_rigid_surface_rejects_terms_linear_in_z_or_zbar():
+    """Normal form removes z^k zbar and z zbar^k by z -> z + f(z); read as
+    they stand they would move A^0_44 by -|a_41|^2."""
+    a41 = GaussianRational(Fraction(1, 3), Fraction(1, 2))
+    F = {(1, 1): 1, (4, 1): a41, (1, 4): a41.conjugate(), (4, 4): Fraction(1, 7)}
+    with pytest.raises(NormalFormViolationError) as err:
+        RigidSurface(TruncatedSeries(12, F))
+    assert str(err.value) == "term z^1 zbar^4 cannot be normalized here"
+
+
+# Admissible monomials through degree 12: k, l >= 2 without the trace terms,
+# each drawn with its mirror so that F is real.
+_ADMISSIBLE = [(k, l) for k in range(2, 11) for l in range(k, 13 - k)
+               if (k, l) not in ((2, 2), (2, 3), (3, 3))]
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+@st.composite
+def hermitian_F(draw):
+    """(order, {(k, l): coefficient}) of a real F = z zbar + terms, and
+    whether a term z^k zbar (k >= 3) was drawn with its mirror.  A_24 and
+    A_44 are drawn every time, and may be 0."""
+    order = draw(st.integers(8, 12))
+    terms = {(1, 1): GaussianRational(1)}
+    drawn = draw(st.lists(st.sampled_from(_ADMISSIBLE), max_size=3, unique=True))
+    for k, l in [(2, 4), (4, 4), *drawn]:
+        if k + l <= order:
+            c = GaussianRational(draw(_SMALL), 0 if k == l else draw(_SMALL))
+            terms[(k, l)] = c
+            terms[(l, k)] = c.conjugate()
+    linear = draw(st.booleans())
+    if linear:
+        k = draw(st.integers(3, order - 1))
+        c = GaussianRational(draw(_SMALL) or 1, draw(_SMALL))
+        terms[(k, 1)] = c
+        terms[(1, k)] = c.conjugate()
+    return order, terms, linear
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(hermitian_F())
+def test_normal_form_coefficients_give_r0_and_s0(drawn):
+    """r(0) = 8 A^0_24 and s(0) = 96 A^0_44 on every F that RigidSurface
+    accepts, an absent coefficient read as 0; a term z^k zbar is refused."""
+    order, terms, linear = drawn
+    F = TruncatedSeries(order, terms)
+    if linear:
+        with pytest.raises(NormalFormViolationError):
+            RigidSurface(F)
+        return
+    surface = RigidSurface(F)
+    A0 = surface.coeffs_A0
+    zero = GaussianRational(0)
+    assert cartan_r(surface.chart).constant_term == A0.get((2, 4), zero) * 8
+    assert cartan_s(surface.chart).constant_term == A0.get((4, 4), zero) * 96
 
 
 # -- sphericity -------------------------------------------------------------------------
@@ -154,28 +210,22 @@ def test_q11_a24_family_vanishes_at_origin():
 
 
 def test_calibrate_c_default_probes():
-    result = calibrate_c([Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)])
-    assert result.c_value == 96
-    assert result.interpolated_polynomial == (Fraction(0), Fraction(96))
+    c = calibrate_c([Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)])
+    assert c == 96 and type(c) is Fraction
 
 
 def test_calibrate_c_stable_under_extra_probe():
     probes = [Fraction(1, 10), Fraction(1, 16), Fraction(1, 25), Fraction(1, 32)]
-    result = calibrate_c(probes)
-    assert result.c_value == 96
-    assert result.interpolated_polynomial == (Fraction(0), Fraction(96))
+    assert calibrate_c(probes) == 96
 
 
 def test_calibrate_c_probe_set_independent():
-    alt = calibrate_c([Fraction(1, 7), Fraction(1, 13), Fraction(1, 19)])
-    assert alt.c_value == 96
+    assert calibrate_c([Fraction(1, 7), Fraction(1, 13), Fraction(1, 19)]) == 96
 
 
 def test_calibrate_c_negative_control_family():
-    result = calibrate_c(
-        [Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)], family="a24"
-    )
-    assert result.c_value == 0
+    c = calibrate_c([Fraction(1, 10), Fraction(1, 16), Fraction(1, 25)], family="a24")
+    assert c == 0
 
 
 def test_calibrate_c_probe_validation():
@@ -201,11 +251,10 @@ def test_calibrate_c_unknown_family_is_refused_before_the_first_probe(monkeypatc
     assert str(err.value) == "unknown family 'a66'; known families: a44, a24"
 
 
-# Test-only families.  eps on z zbar^4 + z^4 zbar (weight 3 each) adds an
-# eps^2 term of weight 6: Q;11(0) = 96 eps - 96 eps^2, off the law c * eps.
-# eps on z zbar^3 + z^3 zbar (weight 2 each) leaves Q;11(0) = 96 eps.
-NONLINEAR = ((1, 4), (4, 1), (4, 4))
-LINEAR = ((1, 3), (3, 1), (4, 4))
+def _off_the_law(chart):
+    """s - s^2/96: on a44 its value at 0 is 96 eps - 96 eps^2, off the law."""
+    s = cartan_s(chart)
+    return s - s * s * Fraction(1, 96)
 
 
 @pytest.mark.parametrize("probes, message", [
@@ -213,17 +262,10 @@ LINEAR = ((1, 3), (3, 1), (4, 4))
     ((1, Fraction(1, 10), 2), "Q;11(0) = 216/25 at eps = 1/10, not c * eps = 0"),
 ], ids=["default_probes", "first_probe_zero"])
 def test_calibrate_c_refuses_a_family_off_the_weight_law(monkeypatch, probes, message):
-    monkeypatch.setitem(invariants.FAMILIES, "nonlinear", NONLINEAR)
+    monkeypatch.setattr(invariants, "cartan_s", _off_the_law)
     with pytest.raises(CalibrationError) as err:
-        calibrate_c(probes, family="nonlinear")
+        calibrate_c(probes)
     assert str(err.value) == message
-
-
-def test_calibrate_c_accepts_a_lower_weight_family_on_the_law(monkeypatch):
-    monkeypatch.setitem(invariants.FAMILIES, "linear", LINEAR)
-    result = calibrate_c(PROBES, family="linear")
-    assert result.c_value == 96
-    assert result.interpolated_polynomial == (Fraction(0), Fraction(96))
 
 
 @pytest.mark.parametrize("count", [3, 32])
@@ -236,7 +278,7 @@ def test_calibrate_c_runs_the_pipeline_once_per_probe(monkeypatch, count):
 
     monkeypatch.setattr(invariants, "cartan_s", counted)
     probes = [Fraction(1, d) for d in range(2, 2 + count)]
-    assert calibrate_c(probes).c_value == 96
+    assert calibrate_c(probes) == 96
     assert len(calls) == count
 
 
