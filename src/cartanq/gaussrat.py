@@ -13,7 +13,21 @@ from fractions import Fraction
 _RAT = (int, Fraction)
 
 
-class GaussianRational:
+class Frozen:
+    """Base of the exact value classes: instances refuse ``setattr`` and
+    ``del``, so constructors write their fields through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(Frozen):
     """An exact complex number re + im*i with re, im in Q.
 
     Instances are immutable and hashable. ``Fraction`` keeps numerators and
@@ -25,12 +39,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- constructors -----------------------------------------------------
 

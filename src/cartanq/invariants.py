@@ -50,10 +50,10 @@ class RigidSurface:
                 raise NormalFormViolationError(
                     f"term z^{k} zbar^{l} cannot be normalized here"
                 )
-        for kl in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            if F.coeff(*kl):
+        for k, l in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            if F.coeff(k, l):
                 raise NormalFormViolationError(
-                    f"trace condition violated: A^0_{kl} != 0"
+                    f"trace condition violated: A^0_{k}{l} != 0"
                 )
         self.F = F
         self.chart = chart

@@ -3,24 +3,18 @@ variable list and the exact arithmetic the Cartan-bundle bracket reduction uses.
 
 from __future__ import annotations
 
-from .gaussrat import GaussianRational
+from .gaussrat import Frozen, GaussianRational
 
 VARIABLES = ("b", "bbar", "mu", "mubar", "r", "X")
 
 
-class MultiPoly:
+class MultiPoly(Frozen):
     """Polynomial in the fixed indeterminates b, bbar, mu, mubar, r, X."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
@@ -50,11 +44,7 @@ class MultiPoly:
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps)
-            out[exps] = -c if acc is None else acc - c
-        return MultiPoly(out)
+        return self + -other
 
     def __neg__(self):
         return MultiPoly({exps: -c for exps, c in self.terms.items()})

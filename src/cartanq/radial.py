@@ -32,6 +32,7 @@ from itertools import accumulate
 from math import lcm
 from numbers import Rational
 
+from .gaussrat import Frozen
 from .series import TruncatedSeries, exp_series
 from .surface import SurfaceChart
 
@@ -95,7 +96,7 @@ def _binomial(m: int, n: int) -> list:
     return out
 
 
-class RadialFunction:
+class RadialFunction(Frozen):
     """The chart function z^k e^{c psi(u)} p(u) / (1 - u)^m.
 
     ``p`` holds the ascending rational coefficients of a polynomial and
@@ -119,12 +120,6 @@ class RadialFunction:
         setattr_(self, "m", m if p else 0)
         setattr_(self, "p", tuple(p))
         setattr_(self, "psi", psi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadialFunction is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RadialFunction is immutable")
 
     def _key(self) -> tuple:
         return self.k, self.c, self.m, self.p, self.psi

@@ -45,7 +45,7 @@ from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import OrderMismatchError, SeriesDomainError
-from .gaussrat import GaussianRational
+from .gaussrat import Frozen, GaussianRational
 
 _SCALARS = (int, Fraction, GaussianRational)
 
@@ -176,7 +176,7 @@ def _series(order: int, den: int, re, im) -> "TruncatedSeries":
     return s
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Bivariate series sum_{k+l <= order} c_{kl} z^k zbar^l, exact coefficients.
 
     ``coeffs`` is a read-only mapping from exponent pairs (k, l) to nonzero
@@ -239,12 +239,6 @@ class TruncatedSeries:
         setattr_(self, "_rows", rows)
         setattr_(self, "_coeffs", None)
         setattr_(self, "_real", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -332,8 +326,7 @@ class TruncatedSeries:
         return self._combine(other, -1)
 
     def __neg__(self):
-        im = [-x for x in self._im] if self._im else None
-        return _series(self.order, self._den, [-x for x in self._re], im)
+        return self._scaled(-1)
 
     def _scaled(self, c) -> "TruncatedSeries":
         """Product with the scalar c = (p + i q) / r."""
@@ -521,13 +514,11 @@ def _newton(order: int, x: TruncatedSeries, step) -> TruncatedSeries:
     return x
 
 
-def _inv_root(f: TruncatedSeries, x: TruncatedSeries, p: int) -> TruncatedSeries:
-    """f^(-1/p) from x, a root exact to the order of x, by the Newton step
-    x <- x (1 + (1 - f x^p) / p): with f x^p = 1 + O(m + 1) the error becomes
-    O(2m + 2) for every p >= 1, since the step is Newton's for x^-p - f."""
+def _reciprocal_from(f: TruncatedSeries, x: TruncatedSeries) -> TruncatedSeries:
+    """1/f from x, exact to the order of x, by the Newton step
+    x <- x (2 - f x): with f x = 1 + O(m + 1) the error becomes O(2m + 2)."""
     def step(x, m, n):
-        re, im, _ = x._lists(n - m - 1)
-        return x - _series(n, x._den * p, re, im) * _plus(f * x ** p, -1)
+        return x - _lift(x, n, n - m - 1) * _plus(f * x, -1)
 
     return _newton(f.order, x, step)
 
@@ -538,7 +529,7 @@ def reciprocal(s: TruncatedSeries) -> TruncatedSeries:
     c = s.constant_term
     if not c:
         raise SeriesDomainError("reciprocal requires nonzero constant term")
-    return _inv_root(s, TruncatedSeries.constant(1 / c, _start(s)), 1)
+    return _reciprocal_from(s, TruncatedSeries.constant(1 / c, _start(s)))
 
 
 def log1p_series(s: TruncatedSeries) -> TruncatedSeries:
@@ -564,7 +555,7 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
         nonlocal h
         t = _euler(_lift(h, n, n - m - 1) * (g * es - _euler(g)), inverse=True)
         g = g + _lift(g, n, n - m - 1) * t
-        h = _inv_root(g, h, 1) if n < s.order else h
+        h = _reciprocal_from(g, h) if n < s.order else h
         return g
 
     return _newton(s.order, h, step)

@@ -129,7 +129,7 @@ def phi_from_rigid_defining(F: TruncatedSeries) -> SurfaceChart:
     for k, l in F.coeffs:
         if (k, l) != (1, 1) and k + l < 4:
             raise MalformedDefiningFunctionError(
-                f"F has a forbidden low-degree term at {(k, l)}"
+                f"F has a forbidden low-degree term z^{k} zbar^{l}"
             )
     e2phi = F.diff("z").diff("zbar") * 2
     return SurfaceChart(e2phi)

@@ -27,11 +27,27 @@ def random_real_series(rng: random.Random, order: int, density: float = 0.4) -> 
     return s + s.conjugate()
 
 
-def random_positive_metric(rng: random.Random, order: int) -> TruncatedSeries:
+def random_positive_metric(rng: random.Random, order: int, density: float = 0.25) -> TruncatedSeries:
     """Random real polynomial e^{2phi} with positive constant term."""
-    s = random_real_series(rng, order, density=0.25)
+    s = random_real_series(rng, order, density)
     bump = abs(s.constant_term.re) + Fraction(rng.randint(1, 5))
     return s - TruncatedSeries.constant(s.constant_term, order) + TruncatedSeries.constant(bump, order)
+
+
+def substitute(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """outer(z, inner(z, zbar)): the second variable of ``outer`` replaced by
+    a series without constant term, by Horner's rule over the columns c_l(z)
+    of outer = sum_l c_l(z) zbar^l.  The result has the lower of the two
+    orders, as a product does."""
+    if inner.constant_term:
+        raise ValueError("the substituted series must vanish at the origin")
+    columns = {}
+    for (k, l), c in outer.coeffs.items():
+        columns.setdefault(l, {})[(k, 0)] = c
+    out = TruncatedSeries(min(outer.order, inner.order))
+    for l in range(max(columns, default=0), -1, -1):
+        out = out * inner + TruncatedSeries(outer.order, columns.get(l))
+    return out
 
 
 def round_sphere_chart(order: int = 14) -> SurfaceChart:

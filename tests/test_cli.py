@@ -287,6 +287,18 @@ def test_input_that_ran_or_raised_before_exits_1(capsys, tmp_path, argv, error):
     assert (code, out, errors) == (1, "", [error])
 
 
+@pytest.mark.parametrize("expr, error", [
+    ("z*zb + z^2*zb^2", "error: trace condition violated: A^0_22 != 0"),
+    ("z*zb + z^2*zb + z*zb^2", "error: F has a forbidden low-degree term z^1 zbar^2"),
+], ids=["trace_condition", "low_degree"])
+def test_refused_rigid_term_is_named_like_the_others(capsys, expr, error):
+    """A refused term of F is named as the harmonic and z^k zbar refusals
+    name it, z^k zbar^l, or A^0_kl for a trace coefficient."""
+    argv = ("curvature", "--input-kind", "rigid_defining_F", "--expr", expr, "--order", "10")
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, errors) == (1, "", [error])
+
+
 # A valid argv of each subcommand, so that only the flag added to it can fail.
 VALID = {
     "curvature": ("curvature", "--input-kind", "conformal_factor_e2phi",

@@ -105,6 +105,23 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
+def test_only_frozen_defines_setattr_or_delattr():
+    """The exact value classes share one refusal of setattr and del, in
+    ``gaussrat.Frozen``; a class that writes its own drifts from it."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}: {node.name}.{item.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name != "Frozen"
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and item.name in ("__setattr__", "__delattr__")
+        ]
+    assert offenders == []
+
+
 def _name(node):
     """The class name that a raise or a base refers to, or None."""
     if isinstance(node, ast.Call):

@@ -265,13 +265,10 @@ def test_exact_bridge_to_the_series_pipeline(name):
 
 
 def test_radial_function_is_immutable():
+    """The compiled evaluator is cached although the class refuses setattr;
+    the refusals themselves are pinned in test_series."""
     f = BUMP.radial_polynomial([1, 2])
-    for name in ("k", "c", "m", "p", "psi", "other"):
-        with pytest.raises(AttributeError):
-            setattr(f, name, None)
-        with pytest.raises(AttributeError):
-            delattr(f, name)
-    assert f.of_u is f.of_u  # the compiled evaluator is still cached
+    assert f.of_u is f.of_u
     assert f == BUMP.radial_polynomial([1, 2])
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cartanq.errors import OrderMismatchError, SeriesDomainError
 from cartanq.gaussrat import GaussianRational
 from cartanq.multipoly import MultiPoly
+from cartanq.radial import RadialFunction
 from cartanq.series import (
     TruncatedSeries,
     differentiate,
@@ -17,7 +18,7 @@ from cartanq.series import (
     log1p_series,
     reciprocal,
 )
-from conftest import random_real_series, random_series
+from conftest import random_positive_metric, random_real_series, random_series
 
 Z = lambda n: TruncatedSeries(n, {(1, 0): 1})
 ZB = lambda n: TruncatedSeries(n, {(0, 1): 1})
@@ -48,7 +49,8 @@ def test_gaussian_rational_reduced_form():
     (GaussianRational(1, 2), "re"),
     (MultiPoly.var("b"), "terms"),
     (TruncatedSeries(2, {(1, 1): 3}), "order"),
-], ids=["GaussianRational", "MultiPoly", "TruncatedSeries"])
+    (RadialFunction(1, 0, 2, [1, 2]), "p"),
+], ids=["GaussianRational", "MultiPoly", "TruncatedSeries", "RadialFunction"])
 def test_exact_values_are_immutable(value, name):
     """Neither setattr nor del changes an exact value: its repr, which reads
     the attribute, is unchanged afterwards."""
@@ -152,6 +154,17 @@ def test_reciprocal_product_count(products, order):
     products.clear()
     reciprocal(s)
     assert len(products) <= 2 * order.bit_length()  # 2 (floor(log2 N) + 1)
+
+
+@pytest.mark.parametrize("order", [12, 20, 32])
+def test_reciprocal_of_a_dense_metric_keeps_the_documented_cost(products, order):
+    """Every coefficient drawn, so the linear terms start the Newton iteration
+    at order 0; the bound 2 (floor(log2 N) + 1) of ``reciprocal``'s docstring
+    is met exactly at N = 12, 20 and 32."""
+    s = random_positive_metric(random.Random(order), order, density=1.0)
+    products.clear()
+    reciprocal(s)
+    assert len(products) <= 2 * order.bit_length()
 
 
 def test_reciprocal_starts_where_the_constant_is_exact(products):

@@ -35,6 +35,7 @@ from conftest import (
     one_plus_rho_chart,
     random_positive_metric,
     round_sphere_chart,
+    substitute,
 )
 
 N = 14
@@ -285,18 +286,12 @@ def holomorphic(coeffs, order):
 
 
 def compose(f, g, order):
-    """f(g(z), conj(g)(zbar)) to the given order, for a holomorphic g = z + O(z^2),
-    summed from the powers of g and of its conjugate (products keep the lower
-    order of their factors)."""
+    """f(g(z), conj(g)(zbar)) to the given order, for a holomorphic g = z + O(z^2):
+    conj(g) substituted for zbar, then for z between two conjugations, since
+    ``conjugate`` swaps the variables (and conjugates the coefficients)."""
     gbar = g.conjugate()
-    g_pow, gbar_pow = [TruncatedSeries.constant(1, order)], [TruncatedSeries.constant(1, order)]
-    for _ in range(order):
-        g_pow.append(g_pow[-1] * g)
-        gbar_pow.append(gbar_pow[-1] * gbar)
-    out = TruncatedSeries(order)
-    for (k, l), c in f.truncated(order).coeffs.items():
-        out = out + g_pow[k] * gbar_pow[l] * c
-    return out
+    once = substitute(f.truncated(order), gbar)
+    return substitute(once.conjugate(), gbar).conjugate()
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
