@@ -80,7 +80,8 @@ class CoefficientFileError(CartanQError):
 
 
 class QuadratureEvaluationError(CartanQError):
-    """Non-finite integrand sample; carries the offending node."""
+    """Non-finite integrand sample, which carries the offending node, or a
+    closed-form coefficient outside the float range."""
 
     def __init__(self, message, node=None):
         super().__init__(message)

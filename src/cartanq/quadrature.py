@@ -1,17 +1,12 @@
 """Floating-point verification layer for the compact-manifold arguments.
 
 The exact closed forms G = e^{c psi(u)} p(u) / (1 - u)^m of ``radial`` are
-evaluated here.  sympy only generates code: each evaluated G is lambdified
-once, so evaluation is vectorized numpy, and sympy pays for printing alone.
-The expression is built unevaluated, the Horner chains of p and psi times
-exp(c psi) and (1 - u)^-m, so sympy does no arithmetic on it: no flattening
-of sums and products, no assumption queries and no canonical ordering.  The
-symbol u carries no assumptions either.  lambdify gets docstring_limit=0, so
-it does not render each expression to a string for a docstring, and the
-numpy printer has order "none", so it prints sums and products in the order
-they were built, which does not depend on string hashing, instead of sorting
-them.  The code names only exp, so it is compiled against exp alone, not
-against a copy of numpy's namespace.
+evaluated here.  Each evaluated G is compiled once to a vectorized numpy
+function of u from Python source that this module writes itself: the Horner
+chains of p and psi in u, with every coefficient the float literal nearest
+its exact value.  sympy's lambdify only compiles that text, so no sympy
+expression is built or printed.  The code names only exp, so it is compiled
+against exp alone, not against a copy of numpy's namespace.
 
 Area integrals take circle-invariant integrands only, real functions of u:
 the chart area's 1 and every integrand of the Calabi identity and of the
@@ -28,62 +23,51 @@ from collections.abc import Callable
 
 import numpy as np
 import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
 from .errors import QuadratureEvaluationError
 from .invariants import is_spherical
 from .radial import CompactMetric, RadialFunction
 from .surface import cartan_r
 
-_U = sp.Symbol("u")
+
+def _float_literal(a) -> str:
+    """The source text of float(a), the float nearest the rational a."""
+    try:
+        return repr(float(a))
+    except OverflowError:
+        raise QuadratureEvaluationError(
+            "a coefficient of a closed form is outside the float range "
+            "(magnitude above 1.7976931348623157e+308)"
+        ) from None
 
 
-def _rational(a) -> sp.Rational:
-    return sp.Rational(a.numerator, a.denominator)
-
-
-def _horner(p) -> sp.Expr:
-    """The Horner chain of p as an unevaluated tree, zero terms left out."""
+def _horner_source(p) -> str:
+    """The Horner chain of p in u as source text, zero terms left out."""
     if not p:
-        return sp.Integer(0)
-    expr = _rational(p[-1])
+        return "0"
+    text = _float_literal(p[-1])
     for a in reversed(p[:-1]):
-        expr = sp.Mul(_U, expr, evaluate=False)
+        text = f"u*({text})"
         if a:
-            expr = sp.Add(expr, _rational(a), evaluate=False)
-    return expr
-
-
-_ONE_MINUS_U = sp.Add(sp.Integer(1), sp.Mul(sp.Integer(-1), _U, evaluate=False),
-                      evaluate=False)
+            text = f"{text} + {_float_literal(a)}"
+    return text
 
 
 def compile_radial(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
     """f's G compiled to a vectorized numpy function of u: the zero function
-    to the constant 0, any other G to its Horner chain times exp(c psi) when
-    c != 0 and times (1 - u)^-m when m != 0.  The tree is built unevaluated,
-    so sympy does no arithmetic on it, and its code names only exp, so it is
-    compiled against exp alone.  ``RadialFunction.of_u`` caches the result
+    to the constant 0, any other G to the Horner chain of p, times
+    exp(c psi) when c != 0 and times (1 - u)^-m when m != 0.  The source text
+    is written here and names only exp, so lambdify compiles it against exp
+    alone.  A coefficient beyond the float range raises
+    ``QuadratureEvaluationError``.  ``RadialFunction.of_u`` caches the result
     on f."""
-    # The printer splits a negative number that leads a product off it and
-    # multiplies it back into a single remaining factor with evaluated
-    # arithmetic, as in -2/3 * (1 - u); so u leads each Horner product,
-    # and p's chain, which may be such a number, closes the outer one.
     factors = []
     if f.c:
-        factors.append(sp.exp(sp.Mul(_rational(f.c), _horner(f.psi),
-                                     evaluate=False), evaluate=False))
+        factors.append(f"exp({_float_literal(f.c)}*({_horner_source(f.psi)}))")
     if f.m:
-        factors.append(sp.Pow(_ONE_MINUS_U, -f.m, evaluate=False))
-    expr = sp.Mul(*factors, _horner(f.p), evaluate=False)
-    # lambdify's own numpy printer settings plus order "none" (see the
-    # module docstring); a printer collects the modules its code imports,
-    # so each call builds a fresh one
-    printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
-                            "allow_unknown_functions": True, "user_functions": {},
-                            "order": "none"})
-    return sp.lambdify(_U, expr, modules=[{"exp": np.exp}], printer=printer,
-                       docstring_limit=0)
+        factors.append(f"(1 - u)**({-f.m})")
+    text = "*".join([*factors, f"({_horner_source(f.p)})"])
+    return sp.lambdify("u", text, modules=[{"exp": np.exp}], docstring_limit=0)
 
 
 class QuadratureScheme(namedtuple("QuadratureScheme", "radial_panels rel_tolerance")):

@@ -234,7 +234,8 @@ class RadialFunction(Frozen):
     @cached_property
     def of_u(self) -> Callable:
         """G compiled once to a vectorized numpy function of u by
-        ``quadrature.compile_radial``, which loads numpy and sympy."""
+        ``quadrature.compile_radial``, from Horner source text; it loads
+        numpy and sympy."""
         from .quadrature import compile_radial
 
         return compile_radial(self)

@@ -201,12 +201,12 @@ def test_usage_error_exits_1():
 
 
 def test_domain_error_exits_1(capsys):
-    code, _ = run(
-        capsys, "curvature", "--input-kind", "line_bundle_metric_h",
+    code, out, errors = run_rejected(capsys, [
+        "curvature", "--input-kind", "line_bundle_metric_h",
         "--expr", "1+z*zb", "--order", "10",
-    )
-    assert code == 1
-    assert "error" in capsys.readouterr().err or True
+    ])
+    assert (code, out) == (1, "")
+    assert errors == ["error: -D Dbar log h = -1 at the center is not positive"]
 
 
 def test_syntax_error_exits_1(capsys):
@@ -454,8 +454,9 @@ def test_chart_order_below_what_the_subcommand_needs_exits_1(capsys, argv):
     assert f"{argv[0]} needs a chart of order at least {need}" in errors[0]
 
 
-# The node where the values leave the float range depends on the generated
-# evaluator code, so a change in code generation that moves it shows here.
+# The node where the values leave the float range depends on the order of the
+# float operations in the generated evaluator code, so a change in code
+# generation that moves it shows here.
 FLOAT_RANGE_ERRORS = {
     "400*u": "error: e^{2phi} is not finite and positive at node z = (3.183694787762269+0j)",
     "-90*u": "error: non-finite integrand sample at node z = (4.6121388751044+0j)",
@@ -488,9 +489,34 @@ def test_profile_outside_the_float_range_exits_1(psi):
     assert done.stderr.splitlines() == [FLOAT_RANGE_ERRORS[psi]], done.stderr
 
 
+@pytest.mark.parametrize(
+    "expr, code",
+    [(f"u/{10**1500}", 0), (f"u/{10**800}", 0), (f"u*{10**400}", 1)],
+    ids=["u_over_10e1500", "u_over_10e800", "u_times_10e400"],
+)
+def test_huge_coefficients_end_without_a_traceback(expr, code):
+    """A derived coefficient with more digits than CPython prints, or one
+    below the float range, becomes its nearest float, 0.0; one above the
+    float range ends in a single `error:` line."""
+    done = _run_cli(["quadrature-check", f"--expr={expr}"])
+    assert "Traceback" not in done.stderr
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: a coefficient of a closed form is outside the float range "
+            "(magnitude above 1.7976931348623157e+308)"
+        ]
+    else:
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["verdicts"] == {
+            "closed_form_spherical": False, "symbolic_spherical": False,
+        }
+
+
 def test_quadrature_report_does_not_depend_on_hash_order():
-    """The evaluators print sums and products in the order their tree was
-    built, never in an order that string hashing could change."""
+    """The evaluator source is written term by term in the order of the
+    coefficients, never in an order that string hashing could change."""
     argv = ["quadrature-check", "--expr", "u^5/3-2/7*u^2+u/9"]
     first, second = (_run_cli(argv, PYTHONHASHSEED=seed) for seed in ("0", "1"))
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr

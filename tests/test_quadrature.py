@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cartanq import quadrature
 from cartanq.errors import QuadratureEvaluationError
@@ -303,9 +305,9 @@ def test_closed_form_is_canonical():
 
 
 def test_quadrature_cost_is_bounded(monkeypatch):
-    """No sympy algebra, not even the arithmetic of building an expression,
-    K_{;zbar zbar} derived once, each evaluated function compiled once, over
-    the operations of one quadrature-check."""
+    """No sympy algebra and no sympy expression: each evaluated function is
+    compiled once from source text, K_{;zbar zbar} derived once, over the
+    operations of one quadrature-check."""
     sp.core.cache.clear_cache()
     algebra = []
     for name in ("cancel", "expand", "simplify"):
@@ -357,6 +359,7 @@ def test_quadrature_cost_is_bounded(monkeypatch):
 
     assert algebra == []
     assert flattened == []
+    assert all(isinstance(expr, str) for expr in compiled)
     assert derived.count(metric.gauss_curvature) == 1 and len(derived) == 2
     # w, K, K_{;zbar zbar}, K_{;zbar zbar z z}, f and its two derivatives
     assert len(compiled) == len(set(compiled)) <= 7
@@ -474,6 +477,29 @@ def test_evaluator_edge_cases_match_direct_numpy(name):
     assert set(rf.of_u.__code__.co_names) <= {"exp"}
     if name == "zero":
         assert np.all(value == 0.0)  # exact, and never nan
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=10)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, 3), c=st.sampled_from([0, 2, -2, Fraction(4, 3), -4]),
+       m=st.integers(-3, 3), p=st.lists(_COEFF, max_size=5),
+       psi=st.lists(_COEFF, max_size=4))
+@example(k=0, c=0, m=2, p=[1, 0, 2], psi=[0, 1])  # c = 0, m > 0, zero inside p
+@example(k=1, c=2, m=-2, p=[1, 0, 0, Fraction(-1, 3)],  # m < 0, negative leading term
+         psi=[0, Fraction(1, 2)])
+@example(k=0, c=2, m=1, p=[], psi=[0, 1])  # the zero function
+@example(k=2, c=-4, m=0, p=[Fraction(1, 7)], psi=[Fraction(1, 3)])  # constant psi
+def test_evaluator_text_matches_direct_numpy(k, c, m, p, psi):
+    """The written Horner source of any closed form, c = 0 or not, m of
+    either sign, p empty, with zero coefficients inside or a negative leading
+    one, agrees with numpy on the fine-pass nodes."""
+    rf = RadialFunction(k, c, m, p, psi)
+    u, _ = quadrature._radial_rule(2 * SCHEME.radial_panels)
+    value = np.broadcast_to(rf.of_u(u), u.shape)
+    np.testing.assert_allclose(value, _direct(rf, u), rtol=1e-13, atol=0)
+    assert set(rf.of_u.__code__.co_names) <= {"exp"}
 
 
 @pytest.mark.parametrize("name", EVALUATOR_CASES)
