@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
@@ -30,10 +31,11 @@ from .radial import CompactMetric, RadialFunction
 from .surface import cartan_r
 
 
-def _float_literal(a) -> str:
-    """The source text of float(a), the float nearest the rational a."""
+def _float_literal(num: int, den: int) -> str:
+    """The source text of the float nearest num / den, which int true
+    division rounds correctly."""
     try:
-        return repr(float(a))
+        return repr(num / den)
     except OverflowError:
         raise QuadratureEvaluationError(
             "a coefficient of a closed form is outside the float range "
@@ -41,15 +43,15 @@ def _float_literal(a) -> str:
         ) from None
 
 
-def _horner_source(p) -> str:
-    """The Horner chain of p in u as source text, zero terms left out."""
+def _horner_source(p, den: int) -> str:
+    """The Horner chain of p / den in u as source text, zero terms left out."""
     if not p:
         return "0"
-    text = _float_literal(p[-1])
+    text = _float_literal(p[-1], den)
     for a in reversed(p[:-1]):
         text = f"u*({text})"
         if a:
-            text = f"{text} + {_float_literal(a)}"
+            text = f"{text} + {_float_literal(a, den)}"
     return text
 
 
@@ -57,16 +59,17 @@ def compile_radial(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
     """f's G compiled to a vectorized numpy function of u: the zero function
     to the constant 0, any other G to the Horner chain of p, times
     exp(c psi) when c != 0 and times (1 - u)^-m when m != 0.  The source text
-    is written here and names only exp, so lambdify compiles it against exp
-    alone.  A coefficient beyond the float range raises
-    ``QuadratureEvaluationError``.  ``RadialFunction.of_u`` caches the result
-    on f."""
+    is written here from the integer numerators of p and psi and names only
+    exp, so lambdify compiles it against exp alone.  A coefficient beyond the
+    float range raises ``QuadratureEvaluationError``.  ``RadialFunction.of_u``
+    caches the result on f."""
     factors = []
     if f.c:
-        factors.append(f"exp({_float_literal(f.c)}*({_horner_source(f.psi)}))")
+        c = _float_literal(f.c.numerator, f.c.denominator)
+        factors.append(f"exp({c}*({_horner_source(*f._psi)}))")
     if f.m:
         factors.append(f"(1 - u)**({-f.m})")
-    text = "*".join([*factors, f"({_horner_source(f.p)})"])
+    text = "*".join([*factors, f"({_horner_source(f._num, f._den)})"])
     return sp.lambdify("u", text, modules=[{"exp": np.exp}], docstring_limit=0)
 
 
@@ -89,15 +92,21 @@ class QuadratureScheme(namedtuple("QuadratureScheme", "radial_panels rel_toleran
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+@lru_cache(maxsize=8)
 def _radial_rule(panels: int):
-    """Nodes and weights for composite Gauss-Legendre on u in [0, 1]."""
+    """Nodes and weights for composite Gauss-Legendre on u in [0, 1], built
+    once per panel count; both arrays are read-only, so an integrand that
+    writes to u raises instead of moving the nodes of later passes."""
     edges = np.linspace(0.0, 1.0, panels + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
         nodes.append(0.5 * (a + b) + half * _GL_NODES)
         weights.append(half * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
+    rule = np.concatenate(nodes), np.concatenate(weights)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 def _integral_once(integrand, metric: CompactMetric, panels: int) -> float:

@@ -19,8 +19,9 @@ divisions are by powers of w, every G is one weighted term
 
     G' = e^{c psi} (1 - u)^{-m - 1} [(c psi' p + p') (1 - u) + m p],
 
-kept exactly as a Fraction coefficient list.  This module needs no float:
-``quadrature`` evaluates the closed forms and integrates them.
+kept exactly as integer numerators of p and psi, each list over one positive
+common denominator.  This module needs no float: ``quadrature`` evaluates the
+closed forms and integrates them.
 """
 
 from __future__ import annotations
@@ -28,159 +29,161 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from math import lcm
+from itertools import accumulate, zip_longest
+from math import gcd, lcm
 from numbers import Rational
 
 from .gaussrat import Frozen
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries, _series, _size, exp_series
 from .surface import SurfaceChart
 
 
-# -- ascending coefficient lists over Q ------------------------------------------------
+# -- ascending integer coefficient lists -----------------------------------------------
 
 
-def _trim(p) -> list:
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return p
+def _ratios(values) -> tuple:
+    """Numerators of ``values`` (trailing zeros trimmed, gcd 1) over their lcm denominator."""
+    values = [Fraction(a) for a in values]
+    while values and not values[-1]:
+        values.pop()
+    den = lcm(1, *(a.denominator for a in values))
+    return tuple(a.numerator * (den // a.denominator) for a in values), den
 
 
 def _padd(p, q) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, b in enumerate(q):
-        out[i] += b
-    return out
+    return [a + b for a, b in zip_longest(p, q, fillvalue=0)]
 
 
-def _pscale(p, s) -> list:
+def _pscale(p, s: int) -> list:
     return [s * a for a in p]
 
 
 def _pmul(p, q) -> list:
-    """Product by integer convolution over the common denominators."""
-    if not p or not q:
-        return []
-    dp = lcm(*(a.denominator for a in p))
-    dq = lcm(*(b.denominator for b in q))
-    ip = [a.numerator * (dp // a.denominator) for a in p]
-    iq = [b.numerator * (dq // b.denominator) for b in q]
-    out = [0] * (len(ip) + len(iq) - 1)
-    for i, a in enumerate(ip):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(iq):
+            for j, b in enumerate(q):
                 out[i + j] += a * b
-    den = dp * dq
-    return [Fraction(n, den) for n in out]
-
-
-def _pderiv(p) -> list:
-    return [j * a for j, a in enumerate(p)][1:]
+    return out
 
 
 def _times_one_minus_u(p, n: int) -> list:
-    p = list(p)
     for _ in range(n):
-        p = [a - b for a, b in zip(p + [0], [0] + p)]
+        p = [a - b for a, b in zip([*p, 0], [0, *p])]
     return p
 
 
-def _binomial(m: int, n: int) -> list:
-    """(1 + rho)^m to degree n in rho, for any integer m."""
-    out = [Fraction(1)]
-    for j in range(n):
-        out.append(out[-1] * (m - j) / (j + 1))
+def _in_rho(p, m: int, size: int) -> list:
+    """p(u) (1 + rho)^m below rho^size, with u = rho / (1 + rho): the sum of
+    p_i rho^i (1 + rho)^(m - i), from the binomial rows C(m - i, t), exactly."""
+    row = list(accumulate(range(1, size), lambda b, t: b * (m - t + 1) // t, initial=1))
+    out = [0] * size
+    for i, a in enumerate(p[:size]):
+        for t, b in enumerate(row[:size - i]):
+            out[i + t] += a * b
+        row = list(accumulate(row, lambda prev, b: b - prev))  # C(m - i - 1, t)
     return out
+
+
+def _diagonal(order: int, k: int, den: int, coeffs, l: int = 1) -> TruncatedSeries:
+    """The series of sum_j coeffs[j] z^(k + j) zbar^(l j) / den, l = 0 or 1."""
+    re = [0] * _size(k + (1 + l) * len(coeffs) - l)
+    for j, a in enumerate(coeffs):
+        re[_size(k + (1 + l) * j) + l * j] = a
+    return _series(order, den, re, None)
 
 
 class RadialFunction(Frozen):
     """The chart function z^k e^{c psi(u)} p(u) / (1 - u)^m.
 
-    ``p`` holds the ascending rational coefficients of a polynomial and
-    ``psi`` those of the profile.  The constructor brings them to canonical
-    form: no factor (1 - u) left in p, c = 0 when psi = 0, and the zero
-    function is p = () with c = m = 0.  For any other psi, constant or not,
-    e^{c psi} with c != 0 is not in Q(u) (Lindemann-Weierstrass when psi is
-    constant), so == is structural and the value is zero exactly when p is
-    empty.
+    ``p`` and ``psi`` read as ascending ``Fraction`` coefficients of a
+    polynomial and of the profile; each is stored as integer numerators over
+    one positive denominator (``_num``/``_den``, the pair ``_psi``), gcd 1, no
+    trailing zero.  Canonical form: no factor (1 - u) left in p, c = 0 when
+    psi = 0, and the zero function is p = () with c = m = 0.  For any other
+    psi, e^{c psi} with c != 0 is not in Q(u) (Lindemann-Weierstrass when psi
+    is constant), so == is structural and the value is zero iff p is empty.
     """
 
     def __init__(self, k: int, c=0, m: int = 0, p=(), psi=()):
-        psi, p = tuple(_trim(psi)), _trim(p)
-        while p and not sum(p):
-            # p = (1 - u) q with q_j = p_0 + ... + p_j
-            p = list(accumulate(p))[:-1]
+        self._assign(k, Fraction(c), m, *_ratios(p), _ratios(psi))
+
+    def _assign(self, k: int, c: Fraction, m: int, num, den: int, psi: tuple):
+        """Store z^k e^{c psi} (num / den) / (1 - u)^m in canonical form; returns self."""
+        g = gcd(den, *num)
+        num, den = [a // g for a in num], den // g
+        while num and not num[-1]:
+            num.pop()
+        while num and not sum(num):  # p = (1 - u) q with q_j = p_0 + ... + p_j
+            num = list(accumulate(num))[:-1]
             m -= 1
-        setattr_ = object.__setattr__
-        setattr_(self, "k", k)
-        setattr_(self, "c", Fraction(c) if p and psi else Fraction(0))
-        setattr_(self, "m", m if p else 0)
-        setattr_(self, "p", tuple(p))
-        setattr_(self, "psi", psi)
+        self.__dict__.update(k=k, c=c if num and psi[0] else Fraction(0), m=m if num else 0,
+                             _num=tuple(num), _den=den, _psi=psi)
+        return self
+
+    p = cached_property(lambda self: tuple(Fraction(a, self._den) for a in self._num))
+    psi = cached_property(lambda self: tuple(Fraction(a, self._psi[1]) for a in self._psi[0]))
 
     def _key(self) -> tuple:
-        return self.k, self.c, self.m, self.p, self.psi
+        return self.k, self.c, self.m, self._num, self._den, self._psi
 
     def __eq__(self, other):
-        if not isinstance(other, RadialFunction):
-            return NotImplemented
-        return self._key() == other._key()
+        return self._key() == other._key() if isinstance(other, RadialFunction) else NotImplemented
 
     def __hash__(self):
         return hash(self._key())
 
     def __repr__(self):
-        return "RadialFunction(k={}, c={!r}, m={}, p={!r}, psi={!r})".format(*self._key())
+        return (f"RadialFunction(k={self.k}, c={self.c!r}, m={self.m}, p={self.p!r}, "
+                f"psi={self.psi!r})")
 
     def _check_profile(self, other: "RadialFunction"):
-        if other.psi != self.psi:
+        if other._psi is not self._psi and other._psi != self._psi:
             raise ValueError("radial functions of different profiles psi")
 
-    def _with(self, k: int, c, m: int, p) -> "RadialFunction":
-        return RadialFunction(k, c, m, p, self.psi)
+    def _with(self, k: int, c: Fraction, m: int, num, den: int) -> "RadialFunction":
+        """The function z^k e^{c psi} (num / den) / (1 - u)^m of this profile."""
+        return object.__new__(RadialFunction)._assign(k, c, m, num, den, self._psi)
 
     def __mul__(self, other):
         if isinstance(other, RadialFunction):
             self._check_profile(other)
             return self._with(self.k + other.k, self.c + other.c, self.m + other.m,
-                              _pmul(self.p, other.p))
+                              _pmul(self._num, other._num), self._den * other._den)
         if isinstance(other, Rational):
-            return self._with(self.k, self.c, self.m, _pscale(self.p, Fraction(other)))
+            return self._with(self.k, self.c, self.m, _pscale(self._num, other.numerator),
+                              self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, RadialFunction):
-            self._check_profile(other)
-            if len(other.p) != 1:
-                raise ValueError(
-                    "can only divide by e^{c psi} a (1-u)^m with a a nonzero "
-                    "constant, such as a power of w"
-                )
-            return self._with(self.k - other.k, self.c - other.c, self.m - other.m,
-                              _pscale(self.p, 1 / Fraction(other.p[0])))
         if isinstance(other, Rational):
             return self * (1 / Fraction(other))
-        return NotImplemented
+        if not isinstance(other, RadialFunction):
+            return NotImplemented
+        self._check_profile(other)
+        if len(other._num) != 1:
+            raise ValueError("can only divide by e^{c psi} a (1-u)^m with a a nonzero "
+                             "constant, such as a power of w")
+        a = other._num[0]
+        return self._with(self.k - other.k, self.c - other.c, self.m - other.m,
+                          _pscale(self._num, other._den if a > 0 else -other._den),
+                          self._den * abs(a))
 
     def __add__(self, other):
         if not isinstance(other, RadialFunction) or other.k != self.k:
             raise ValueError("can only add radial functions of equal z-grade")
         self._check_profile(other)
-        if not other.p:
-            return self
-        if not self.p:
-            return other
+        if not (self._num and other._num):
+            return self if self._num else other
         if other.c != self.c:
             raise ValueError("can only add radial functions of equal weight c")
         m = max(self.m, other.m)
-        p = _padd(_times_one_minus_u(self.p, m - self.m),
-                  _times_one_minus_u(other.p, m - other.m))
-        return self._with(self.k, self.c, m, p)
+        g = gcd(self._den, other._den)
+        p = _padd(_pscale(_times_one_minus_u(self._num, m - self.m), other._den // g),
+                  _pscale(_times_one_minus_u(other._num, m - other.m), self._den // g))
+        return self._with(self.k, self.c, m, p, self._den * (other._den // g))
 
     def __sub__(self, other):
         if not isinstance(other, RadialFunction):
@@ -190,18 +193,21 @@ class RadialFunction(Frozen):
     def __neg__(self):
         return self * -1
 
-    def _slope(self) -> list:
-        """q, where G' = e^{c psi} q / (1 - u)^(m + 1)."""
-        cp = _pscale(_pmul(_pderiv(self.psi), self.p), self.c)
-        return _padd(_times_one_minus_u(_padd(cp, _pderiv(self.p)), 1),
-                     _pscale(self.p, self.m))
+    def _slope(self) -> tuple:
+        """(q, den), where G' = e^{c psi} (q / den) / (1 - u)^(m + 1)."""
+        num, (psi, e) = self._num, self._psi
+        a, b = self.c.numerator, (self.c.denominator * e if self.c else 1)
+        cp = _pscale(_pmul([j * s for j, s in enumerate(psi)][1:], num), a) if a else []
+        q = _times_one_minus_u(_padd(cp, [j * b * x for j, x in enumerate(num)][1:]), 1)
+        return _padd(q, _pscale(num, self.m * b)), self._den * b
 
     def d(self) -> "RadialFunction":
-        p = _padd(_pscale(self.p, self.k), [0] + self._slope())
-        return self._with(self.k - 1, self.c, self.m, p)
+        q, den = self._slope()
+        p = _padd(_pscale(self._num, self.k * (den // self._den)), [0, *q])
+        return self._with(self.k - 1, self.c, self.m, p, den)
 
     def dbar(self) -> "RadialFunction":
-        return self._with(self.k + 1, self.c, self.m - 1, self._slope())
+        return self._with(self.k + 1, self.c, self.m - 1, *self._slope())
 
     def taylor(self, order: int) -> TruncatedSeries:
         """The exact series at the chart center of this value divided by
@@ -212,32 +218,26 @@ class RadialFunction(Frozen):
         series in rho alone, times the exponential when c != 0 and psi is
         not constant.
         """
-        n = order // 2  # rho^j has total degree 2j
-        u = [0] + _binomial(-1, n - 1)
-
-        def in_rho(q, size: int) -> list:
-            out = []
-            for a in reversed(q):
-                out = _padd(_pmul(out, u), [a])[:size]
-            return out
-
-        size = max(0, (order - self.k) // 2 + 1)  # z^k rho^j has total degree k + 2j
-        part = _pmul(in_rho(self.p, size), _binomial(self.m, size - 1))[:size]
-        series = TruncatedSeries(order, {(self.k + j, j): a for j, a in enumerate(part)})
-        if self.c and len(self.psi) > 1:
-            rel = in_rho((0,) + self.psi[1:], n + 1)
-            series = series * exp_series(
-                TruncatedSeries(order, {(j, j): self.c * a for j, a in enumerate(rel)})
-            )
-        return series
+        if self.k < 0:
+            raise ValueError(f"cannot expand z^{self.k} G(u): negative z-grade")
+        n = (order - self.k) // 2  # z^k rho^j has total degree k + 2j
+        if n < 0:
+            return TruncatedSeries(order)
+        # in rho alone, held as z: rho^j -> z^j is exact below degree n + 1
+        series = _diagonal(n, 0, self._den, _in_rho(self._num, self.m, n + 1), l=0)
+        psi, e = self._psi
+        if self.c and len(psi) > 1:
+            rel = _in_rho((0, *psi[1:]), 0, n + 1)
+            a, b = self.c.numerator, self.c.denominator
+            series = series * exp_series(_diagonal(n, 0, b * e, _pscale(rel, a), l=0))
+        coeffs = [series._re[_size(j)] for j in range(series._rows)]
+        return _diagonal(order, self.k, series._den, coeffs)
 
     @cached_property
     def of_u(self) -> Callable:
         """G compiled once to a vectorized numpy function of u by
-        ``quadrature.compile_radial``, from Horner source text; it loads
-        numpy and sympy."""
+        ``quadrature.compile_radial``; it loads numpy and sympy."""
         from .quadrature import compile_radial
-
         return compile_radial(self)
 
 
@@ -293,7 +293,7 @@ class CompactMetric:
     # -- bridges ---------------------------------------------------------------
 
     def radial_polynomial(self, coeffs: Sequence) -> RadialFunction:
-        return RadialFunction(0, 0, 0, [Fraction(c) for c in coeffs], self.psi_coeffs)
+        return self.w._with(0, Fraction(0), 0, *_ratios(coeffs))
 
     def taylor_chart(self, order: int) -> SurfaceChart:
         """Exact Taylor expansion of the metric at the chart center.

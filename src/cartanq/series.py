@@ -110,10 +110,19 @@ def _pack_rows(xs, rows: int, nbytes: int):
 
 
 def _short(xs, ys, rows: int):
-    """Rows d < rows of the product of two row lists: sum_i xs[i] ys[d - i]."""
+    """Rows d < rows of the product of two row lists: sum_i xs[i] ys[d - i].
+    A square (ys is xs) forms each cross product once: twice the sum over
+    i < d - i, plus xs[d / 2] squared when d is even."""
     m, ry = len(ys), ys[::-1]
-    return [sum(map(mul, xs[max(0, d - m + 1):d + 1], ry[max(0, m - 1 - d):]))
-            for d in range(rows)]
+    if ys is not xs:
+        return [sum(map(mul, xs[max(0, d - m + 1):d + 1], ry[max(0, m - 1 - d):]))
+                for d in range(rows)]
+    out = []
+    for d in range(rows):
+        lo, hi = max(0, d - m + 1), (d + 1) // 2
+        s = 2 * sum(map(mul, xs[lo:hi], ry[m - 1 - d + lo:]))
+        out.append(s + xs[hi] ** 2 if d % 2 == 0 and hi < m else s)
+    return out
 
 
 def _unpack_rows(packed, nbytes: int):
@@ -353,7 +362,8 @@ class TruncatedSeries(Frozen):
 
         Cost: each sum over rows makes at most rows (rows + 1) / 2 row
         products, each of two integers of at most rows * nbytes bytes; real
-        by complex takes 2 sums and complex by complex 3 (Gauss's trick)."""
+        by complex takes 2 sums and complex by complex 3 (Gauss's trick).  A
+        square (other is self) forms each cross row product once."""
         if isinstance(other, _SCALARS):
             return self._scaled(other)
         if not isinstance(other, TruncatedSeries):

@@ -140,6 +140,20 @@ def test_quadrature_check(capsys):
     assert report["residuals"]["calabi_identity_K"]["within_tolerance"] is True
 
 
+@pytest.mark.parametrize(
+    "expr, golden",
+    [("u*(1-u)/10", "quadrature_bump.json"),
+     ("u^5/3-2/7*u^2+u/9", "quadrature_quintic.json"),
+     ("u/300", "quadrature_u_over_300.json")],
+    ids=["bump", "quintic", "u_over_300"],
+)
+def test_quadrature_report_matches_its_golden_bytes(capsys, expr, golden):
+    """Every printed float, to its last digit, as the report was recorded."""
+    code, out = run(capsys, "quadrature-check", "--expr", expr)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_quadrature_check_sees_high_degree_profiles(capsys, n):
     """psi = u^n / 3 first shows in r at degree 2n - 4, beyond the degree 8 that

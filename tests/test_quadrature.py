@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cartanq import quadrature
 from cartanq.errors import QuadratureEvaluationError
 from cartanq.quadrature import (
+    SYMBOLIC_ORDER,
     CompactMetric,
     QuadratureScheme,
     RadialFunction,
@@ -58,6 +59,25 @@ def test_non_finite_integrand_reports_node():
     with pytest.raises(QuadratureEvaluationError) as err:
         integrate_surface(bad, FS, SCHEME)
     assert err.value.node is not None
+
+
+def test_radial_rule_is_built_once_and_read_only():
+    u, weights = quadrature._radial_rule(3)
+    again = quadrature._radial_rule(3)
+    assert again[0] is u and again[1] is weights
+    for array in (u, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    nodes = quadrature._radial_rule(2 * SCHEME.radial_panels)[0].copy()
+
+    def writes_to_u(u):
+        u[0] = 0.5
+        return np.ones(u.shape)
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_surface(writes_to_u, FS, SCHEME)
+    np.testing.assert_array_equal(quadrature._radial_rule(2 * SCHEME.radial_panels)[0], nodes)
+    test_fubini_study_area()
 
 
 def test_float_range_is_checked():
@@ -170,6 +190,11 @@ def test_taylor_chart_matches_closed_form():
 def test_taylor_below_the_z_grade_is_zero():
     # z^5 has total degree 5, so its series through degree 2 holds no term
     assert RadialFunction(5, 0, 0, [1]).taylor(2) == TruncatedSeries(2)
+
+
+def test_taylor_refuses_a_negative_z_grade():
+    with pytest.raises(ValueError, match="negative z-grade"):
+        BUMP.radial_polynomial([1, 2]).d().taylor(6)
 
 
 # -- closed form ------------------------------------------------------------------------
@@ -368,6 +393,34 @@ def test_quadrature_cost_is_bounded(monkeypatch):
     # each integrand is a function of u, called once on the radial nodes
     assert len(nodes) == 4
     assert set(nodes) == {(np.dtype(float), 1, 32 * SCHEME.radial_panels)}
+
+
+def _fraction_constructions(monkeypatch, psi):
+    """Fractions built while deriving K_{;zbar zbar z z} and the Taylor chart
+    of a fresh metric of profile psi."""
+    metric = CompactMetric(psi)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        metric.k_zbar_zbar_z_z
+        metric.taylor_chart(2 * SYMBOLIC_ORDER)
+    return len(built)
+
+
+def test_closed_forms_compute_on_integers(monkeypatch):
+    """The closed forms and their Taylor bridge work on integer numerators: a
+    Fraction is built only for c, the chart's constant term and the Newton
+    seeds of the series core, so their number does not grow with deg psi."""
+    linear = _fraction_constructions(monkeypatch, [0, Fraction(1, 10)])
+    cubic = _fraction_constructions(
+        monkeypatch, [0, Fraction(-1, 5), Fraction(2, 7), Fraction(1, 3)])
+    assert cubic == linear < 40
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)

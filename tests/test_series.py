@@ -225,6 +225,22 @@ def test_ring_axioms(s1, s2, s3, n):
     assert (a + b) - b == a
 
 
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=12),
+       st.sampled_from(["real", "complex", "sparse", "order_0"]))
+def test_square_matches_the_general_product(seed, n, kind):
+    """a * a sums each cross row product once and doubles it; b equals a but is
+    another object, so a * b takes the general row sums."""
+    rng = random.Random(seed)
+    n = 0 if kind == "order_0" else n
+    a = random_series(rng, n, density=0.1 if kind == "sparse" else 0.6)
+    if kind == "real":
+        a = a + a.conjugate()
+    b = TruncatedSeries(a.order, dict(a.coeffs))
+    assert b is not a and b == a
+    assert a * a == a * b
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, seeds, orders)
 def test_leibniz_rule(s1, s2, n):
