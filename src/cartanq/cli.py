@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CartanQError, digit_limit_message
-from .expr import parse_expression, parse_radial_polynomial
+from .expr import MAX_PROFILE_DEGREE, parse_expression, parse_radial_polynomial
 from .gaussrat import GaussianRational
 from .invariants import (
     CALIBRATION_ORDER,
@@ -65,9 +65,7 @@ MAX_PROBES = 32
 
 def _rat(q: Fraction) -> str:
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(q)
     except ValueError:  # more digits than a coefficient file may hold
         n = max(abs(q.numerator), q.denominator)
         digits = math.floor(n.bit_length() * math.log10(2)) + 1
@@ -145,10 +143,11 @@ def _int_in(lo=None, hi=None):
 
 
 def _positive_float(text: str) -> float:
+    """A rational read as the other rational flags are, rounded to a float."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        value = float(_parse_rational(text))
+    except OverflowError:  # too large for a float
+        value = math.inf
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
@@ -224,9 +223,7 @@ def _report(args, echo, *, series=None, values=None, residuals=None,
 
 def _exit_code(residuals: dict) -> int:
     for entry in residuals.values():
-        if isinstance(entry, dict) and entry.get("exact_zero") is False:
-            return 2
-        if isinstance(entry, dict) and entry.get("within_tolerance") is False:
+        if entry.get("exact_zero") is False or entry.get("within_tolerance") is False:
             return 2
     return 0
 
@@ -523,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("quadrature-check",
                           help="compact-manifold quadrature verification")
     sub.add_argument("--expr",
-                     help="profile psi, a polynomial in u of degree at most 16 "
-                     "(omitted: psi = 0, the Fubini-Study metric)")
+                     help=f"profile psi, a polynomial in u of degree at most "
+                     f"{MAX_PROFILE_DEGREE} (omitted: psi = 0, the Fubini-Study metric)")
     sub.add_argument("--radial-panels", type=_int_in(1, MAX_RADIAL_PANELS), default=4,
                      help=f"Gauss-Legendre panels in u, 1 to {MAX_RADIAL_PANELS} "
                      "(default 4)")

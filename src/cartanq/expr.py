@@ -48,6 +48,7 @@ _FUNCTIONS = ("exp", "log")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 MAX_NESTING = 100
+MAX_PROFILE_DEGREE = 16
 
 
 def _tokenize(text: str):
@@ -235,7 +236,7 @@ def parse_expression(text: str, order: int) -> TruncatedSeries:
     return _Parser(text, order).parse()
 
 
-def parse_radial_polynomial(text: str, max_degree: int = 16):
+def parse_radial_polynomial(text: str, max_degree: int = MAX_PROFILE_DEGREE):
     """Parse a polynomial in the radial variable u of degree at most
     ``max_degree``; returns its ascending Fraction coefficients.
 

@@ -1,15 +1,16 @@
 """Small multivariate polynomial ring over Gaussian rationals: a fixed
-variable list and the exact arithmetic the Cartan-bundle bracket reduction uses."""
+variable list, the four indeterminates that the Cartan-bundle bracket
+reduction reads, and the exact arithmetic it uses."""
 
 from __future__ import annotations
 
 from .gaussrat import Frozen, GaussianRational
 
-VARIABLES = ("b", "bbar", "mu", "mubar", "r", "X")
+VARIABLES = ("b", "mubar", "r", "X")
 
 
 class MultiPoly(Frozen):
-    """Polynomial in the fixed indeterminates b, bbar, mu, mubar, r, X."""
+    """Polynomial in the fixed indeterminates b, mubar, r, X."""
 
     __slots__ = ("terms",)
 

@@ -30,9 +30,9 @@ series", JACM 25, 1978), so they cost O(log N) products, most of them short.
 log and exp use the Euler operator E = z d/dz + zbar d/dzbar, which multiplies
 the degree-d part by d: E log f = E f / f.
 
-All values are immutable after construction (``coeffs`` and ``real_flag``
-are cached on first use, but depend only on the numerators) and all
-operations are pure functions, so series can be shared freely across threads.
+All values are immutable after construction (``coeffs`` is cached on first
+use, but depends only on the numerators) and all operations are pure
+functions, so series can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -161,23 +161,6 @@ def _bound(xs, ys) -> int:
     return top
 
 
-def _hermitian(re, im, rows: int) -> bool:
-    """c_{kl} = conj(c_{lk}): each degree row of re is a palindrome and each
-    row of im an anti-palindrome."""
-    i = 0
-    for d in range(rows):
-        j = i + d + 1
-        row = re[i:j]
-        if row != row[::-1]:
-            return False
-        if im is not None:
-            row = im[i:j]
-            if row != [-x for x in reversed(row)]:
-                return False
-        i = j
-    return True
-
-
 def _series(order: int, den: int, re, im) -> "TruncatedSeries":
     """The canonical series (re + i im) / den of the given order."""
     s = object.__new__(TruncatedSeries)
@@ -192,11 +175,11 @@ class TruncatedSeries(Frozen):
     :class:`GaussianRational` values, built on first access; zero
     coefficients never appear in it.  ``real_flag`` is True iff
     c_{kl} = conj(c_{lk}) for all (k, l), i.e. the series represents a
-    real-valued function; it is computed from the numerators when first
-    asked for, so the claim can never drift from the data.
+    real-valued function; it compares the series with its conjugate on each
+    call, so the claim can never drift from the data.
     """
 
-    __slots__ = ("order", "_den", "_re", "_im", "_rows", "_coeffs", "_real")
+    __slots__ = ("order", "_den", "_re", "_im", "_rows", "_coeffs")
 
     def __init__(self, order: int, coeffs=None):
         if order < 0:
@@ -247,7 +230,6 @@ class TruncatedSeries(Frozen):
         setattr_(self, "_im", im)
         setattr_(self, "_rows", rows)
         setattr_(self, "_coeffs", None)
-        setattr_(self, "_real", None)
 
     # -- constructors --------------------------------------------------------
 
@@ -291,9 +273,7 @@ class TruncatedSeries(Frozen):
 
     @property
     def real_flag(self) -> bool:
-        if self._real is None:
-            object.__setattr__(self, "_real", _hermitian(self._re, self._im, self._rows))
-        return self._real
+        return self == self.conjugate()
 
     def _lists(self, order: int):
         """Numerator lists cut to total degree <= order, and their row count."""

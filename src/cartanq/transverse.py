@@ -102,10 +102,12 @@ def verify_bracket_identity(perturb: bool = False) -> MultiPoly:
     """Polynomial reduction of the Q;11 bracket on Cartan's bundle.
 
     Returns the residual lhs - rhs of the identity, in the indeterminates
-    (b, bbar, mu, mubar, r, X) with X standing for L_1 r,
+    (b, mubar, r, X) with X standing for L_1 r,
         (X - r b + i r mubar)(2A + 3 conj(B)) - i r conj(E)
             = -2 X b + 2 r b^2 - i X mubar
-    with A = -(b + 2i mubar), B = -i mu, E = -mu(bbar - i mu).  With
+    with A = -(b + 2i mubar), B = -i mu, E = -mu(bbar - i mu).  conj(B) =
+    i mubar and conj(E) = -mubar(b + i mubar) are written out in b and mubar,
+    so bbar and mu never occur.  With
     ``perturb`` the coefficient of A is deliberately broken (A = -(b + i
     mubar)) as a negative control; the residual must then be nonzero.
     """

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -132,6 +133,14 @@ def test_verify_identities_with_input(capsys):
     assert "qisgauss_identity_1" in json.loads(out)["residuals"]
 
 
+def test_verify_identities_input_defaults_to_order_16(capsys):
+    code, out = run(capsys, "verify-identities", "--input-kind", "conformal_factor_e2phi",
+                    "--expr", "1+z*zb")
+    assert code == 0
+    assert json.loads(out)["input"] == {
+        "kind": "conformal_factor_e2phi", "source": "1+z*zb", "order": 16}
+
+
 def test_quadrature_check(capsys):
     code, out = run(capsys, "quadrature-check", "--expr", "u*(1-u)/10")
     assert code == 0
@@ -203,6 +212,27 @@ def test_coeff_file_echoes_effective_order(tmp_path, capsys):
     report = json.loads(out)
     assert report["input"]["order"] == 10
     assert report["series"]["K"]["order"] == 8
+
+
+def test_coeff_file_blank_lines_are_skipped(tmp_path, capsys):
+    """Blank and whitespace-only lines between coefficient lines change
+    nothing in the report but its source."""
+    from cartanq.expr import parse_expression
+
+    text = dumps(parse_expression(F44, 12))
+    header, *lines = text.splitlines()
+    plain, spaced = tmp_path / "plain.coeffs", tmp_path / "spaced.coeffs"
+    plain.write_text(text)
+    spaced.write_text("\n".join([header, ""] + [f"{line}\n  " for line in lines]) + "\n")
+    reports = []
+    for path in (plain, spaced):
+        code, out = run(capsys, "invariants", "--input-kind", "rigid_defining_F",
+                        "--coeff-file", str(path), "--order", "12")
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"].pop("source") == str(path)
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 # -- error and exit-code contract ---------------------------------------------------
@@ -291,14 +321,59 @@ _E2PHI = ("sphericity", "--input-kind", "conformal_factor_e2phi")
      "error: unexpected character '\u0661' (at position 0)"),
     (("calibrate-c", "--probes", "1_0/3,1/16,1/25"),
      "cartanq calibrate-c: error: argument --probes: bad rational '1_0/3'"),
+    (("quadrature-check", "--tolerance", "1_0e-7"),
+     "cartanq quadrature-check: error: argument --tolerance: bad rational '1_0e-7'"),
+    (("quadrature-check", "--tolerance", "\u0661e-6"),
+     "cartanq quadrature-check: error: argument --tolerance: bad rational '\u0661e-6'"),
 ], ids=["nesting", "quadrature_nesting", "sign_run", "non_utf8_file", "unicode_order",
-        "underscore_order", "unicode_literal", "underscore_probe"])
+        "underscore_order", "unicode_literal", "underscore_probe", "underscore_tolerance",
+        "unicode_tolerance"])
 def test_input_that_ran_or_raised_before_exits_1(capsys, tmp_path, argv, error):
     """Each of these either ran with a changed meaning or ended in a traceback."""
     (tmp_path / "nonutf8.coeffs").write_bytes(b"order 4\n\xff\xfe 1 1 0\n")
     argv = [a.replace("{nonutf8}", str(tmp_path / "nonutf8.coeffs")) for a in argv]
     code, out, errors = run_rejected(capsys, argv)
     assert (code, out, errors) == (1, "", [error])
+
+
+_TOLERANCE = "cartanq quadrature-check: error: argument --tolerance:"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("invariants", "--input-kind", "conformal_factor_e2phi", "--expr", "1+z*zb",
+      "--order", "8", "--lambda", "1,2,3"),
+     "cartanq invariants: error: argument --lambda: bad lambda '1,2,3'; "
+     "expected 're' or 're,im'"),
+    (("quadrature-check", "--tolerance", "x"), f"{_TOLERANCE} bad rational 'x'"),
+    (("quadrature-check", "--tolerance", "nan"), f"{_TOLERANCE} bad rational 'nan'"),
+    (("quadrature-check", "--tolerance", "0x1p-20"), f"{_TOLERANCE} bad rational '0x1p-20'"),
+    (("quadrature-check", "--tolerance", "1e400"),
+     f"{_TOLERANCE} must be finite and positive, got 1e400"),
+    (("quadrature-check", "--tolerance", "1e-400"),
+     f"{_TOLERANCE} must be finite and positive, got 1e-400"),
+    (("curvature", "--input-kind", "line_bundle_metric_h", "--expr", "1+z+z*zb"),
+     "error: h must be a real series"),
+    (("curvature", "--input-kind", "rigid_defining_F", "--expr", "z*zb + z^4"),
+     "error: F must be a real series"),
+], ids=["lambda_three_parts", "tolerance_word", "tolerance_nan", "tolerance_hex",
+        "tolerance_overflow", "tolerance_underflow", "h_not_real", "F_not_real"])
+def test_rejected_input_names_its_fault(capsys, argv, error):
+    code, out, errors = run_rejected(capsys, argv)
+    assert (code, out, errors) == (1, "", [error])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+def test_tolerance_reads_each_float_spelling_as_float_does(x):
+    """--tolerance reads its text as a rational, then rounds it once, so every
+    decimal spelling gives the float that float() gives, and a spelling that
+    rounds to infinity is refused as infinity is."""
+    for text in (repr(x), f"{x:e}", f"{x:.30e}", f"{x:.3g}"):
+        if float(text) < math.inf:
+            assert cli._positive_float(text) == float(text), text
+        else:
+            with pytest.raises(argparse.ArgumentTypeError, match="finite and positive"):
+                cli._positive_float(text)
 
 
 @pytest.mark.parametrize("expr, error", [
@@ -599,9 +674,11 @@ E2PHI = ("sphericity", "--input-kind", "conformal_factor_e2phi", "--order", "14"
         (("invariants", "--input-kind", "rigid_defining_F", "--expr", F44,
           "--order", "8", "--lambda", "1e1000000"),
          ("argument --lambda: value has 1000001 digits",)),
+        (("quadrature-check", "--tolerance", "1e-200000"),
+         ("argument --tolerance: value has 200001 digits",)),
     ],
     ids=["sphericity_literal", "quadrature_literal", "sphericity_report",
-         "calibrate_probes", "invariants_lambda"],
+         "calibrate_probes", "invariants_lambda", "quadrature_tolerance"],
 )
 def test_numbers_beyond_the_digit_limit_exit_1(capsys, monkeypatch, argv, parts):
     """Every number a report prints can be read back with --coeff-file, and
@@ -879,7 +956,8 @@ FUZZ_FLAGS = {
                                     "(" * 200 + "u" + ")" * 200, "1+" + "-" * 1500 + "u"),
                          "--radial-panels": ("1", "2", "0", "33", "x"),
                          "--angular-nodes": ("16", "64", "15", "2049", "x"),
-                         "--tolerance": ("1e-6", "1e-300", "0", "-1", "nan", "x"),
+                         "--tolerance": ("1e-6", "1e-300", "0", "-1", "nan", "x",
+                                         "1_0e-7", "\u0661e-6"),
                          "--coeff-file": ("{good}", "{dir}/nonutf8.coeffs"),
                          "--order": ("8", "\u0661\u0662", "1_2"),
                          **_DISPLAY_ORDER},

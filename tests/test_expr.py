@@ -55,6 +55,17 @@ def test_syntax_error_positions():
         parse_expression("w + 1", 4)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("z z", "unexpected token 'z' (at position 2)"),
+    ("z)", "unexpected token ')' (at position 1)"),
+    ("z^-1", "reciprocal requires nonzero constant term (at position 3)"),
+], ids=["juxtaposed", "unopened_paren", "reciprocal_of_z"])
+def test_syntax_error_message_and_position(text, error):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text, 4)
+    assert str(err.value) == error
+
+
 def test_whitespace_insensitive():
     assert parse_expression(" ( 1 + z * zb ) ^ 2 ", 5) == parse_expression(
         "(1+z*zb)^2", 5

@@ -61,6 +61,17 @@ def test_malformed_header_and_lines():
         loads("order 4\n1 1 1/1\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("ordr 4\n", "line 1: expected header 'order N'"),
+    ("order -1\n", "line 1: order must be non-negative"),
+    ("order 4\n1 1 1/1 0/1\n-1 2 1/1 0/1\n", "line 3: negative exponents (-1, 2)"),
+], ids=["misspelt_header", "negative_order", "negative_exponent"])
+def test_file_error_names_its_line(text, error):
+    with pytest.raises(CoefficientFileError) as err:
+        loads(text)
+    assert str(err.value) == error
+
+
 def test_no_float_in_round_trip():
     text = dumps(TruncatedSeries(2, {(1, 1): 1}))
     assert "." not in text and "e" not in text.replace("order", "")
