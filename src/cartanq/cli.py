@@ -167,8 +167,7 @@ def _parse_probes(text: str):
 def _load_series(args) -> TruncatedSeries:
     if args.expr is not None:
         return parse_expression(args.expr, args.order)
-    series = read_series(args.coeff_file)
-    return series.truncated(min(args.order, series.order))
+    return read_series(args.coeff_file, args.order)
 
 
 def _build_chart(args, need: int):
@@ -534,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Flags whose value may start with a minus sign: an expression such as
 # -90*u or a rational such as -1/2, which argparse would take for an option.
-_SIGNED_VALUE_FLAGS = frozenset({"--expr", "--probes", "--lambda"})
+_SIGNED_VALUE_FLAGS = frozenset({"--expr", "--probes", "--lambda", "--tolerance"})
 
 
 def _join_signed_values(argv):

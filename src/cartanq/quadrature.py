@@ -28,7 +28,7 @@ import sympy as sp
 from .errors import QuadratureEvaluationError
 from .invariants import is_spherical
 from .radial import CompactMetric, RadialFunction
-from .surface import cartan_r
+from .surface import cartan_r, per_chart
 
 
 def _float_literal(num: int, den: int) -> str:
@@ -181,14 +181,17 @@ def calabi_identity_check(
     if isinstance(f, str):
         if f != "K":
             raise ValueError(f"unknown function name {f!r}")
-        if scheme not in metric._calabi_k:
-            metric._calabi_k[scheme] = _calabi_integrals(
-                metric.gauss_curvature, metric.k_zbar_zbar, metric.k_zbar_zbar_z_z,
-                metric, scheme)
-        return metric._calabi_k[scheme]
+        return _calabi_k(metric, scheme)
     rf = metric.radial_polynomial(f)
     fzz = metric.covariant_zbar_zbar(rf)
     return _calabi_integrals(rf, fzz, metric.raise_twice(fzz), metric, scheme)
+
+
+@per_chart
+def _calabi_k(metric: CompactMetric, scheme: QuadratureScheme) -> CalabiCheck:
+    """The Calabi check on K, integrated once per metric and scheme."""
+    return _calabi_integrals(metric.gauss_curvature, metric.k_zbar_zbar,
+                             metric.k_zbar_zbar_z_z, metric, scheme)
 
 
 def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureScheme):

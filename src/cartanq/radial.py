@@ -246,15 +246,15 @@ class CompactMetric:
 
     ``psi_coeffs`` are the ascending rational coefficients of the profile
     polynomial psi(u).  psi = 0 is the Fubini-Study metric of curvature 4.
-    K, K_{;zbar zbar} and K_{;zbar zbar z z} are derived once per metric, and
-    the Calabi check on K is integrated once per metric and scheme.
+    K, K_{;zbar zbar} and K_{;zbar zbar z z} are derived once per metric;
+    ``quadrature._calabi_k`` keeps the Calabi check on K in ``_cache``.
     """
 
     def __init__(self, psi_coeffs: Sequence = ()):
         self.psi_coeffs = tuple(Fraction(c) for c in psi_coeffs)
         # w = (1 - u)^2 e^{2 psi}: c = 2, m = -2, p = 1
         self.w = RadialFunction(0, 2, -2, [1], self.psi_coeffs)
-        self._calabi_k = {}  # QuadratureScheme -> CalabiCheck
+        self._cache = {}
 
     # -- geometry ------------------------------------------------------------
 

@@ -76,7 +76,10 @@ def dumps(s: TruncatedSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads(text: str) -> TruncatedSeries:
+def loads(text: str, order: int | None = None) -> TruncatedSeries:
+    """The series of a coefficient file, read to the lower of its own order
+    and ``order``: every line is checked, and the terms above that order are
+    then dropped, so a term of high degree allocates nothing."""
     lines = text.splitlines()
     if not lines:
         raise CoefficientFileError("empty file")
@@ -84,12 +87,12 @@ def loads(text: str) -> TruncatedSeries:
     if len(header) != 2 or header[0] != "order":
         raise CoefficientFileError("expected header 'order N'", lineno=1)
     try:
-        order = read_int(header[1])
+        file_order = read_int(header[1])
     except OverflowError as exc:
         raise CoefficientFileError(str(exc), lineno=1) from None
     except ValueError:
         raise CoefficientFileError(f"bad order {header[1]!r}", lineno=1) from None
-    if order < 0:
+    if file_order < 0:
         raise CoefficientFileError("order must be non-negative", lineno=1)
 
     coeffs = {}
@@ -108,19 +111,21 @@ def loads(text: str) -> TruncatedSeries:
             raise CoefficientFileError(str(exc), lineno=lineno) from None
         if k < 0 or l < 0:
             raise CoefficientFileError(f"negative exponents {(k, l)}", lineno=lineno)
-        if k + l > order:
+        if k + l > file_order:
             raise CoefficientFileError(
-                f"degree {k + l} of pair {(k, l)} exceeds order {order}", lineno=lineno
+                f"degree {k + l} of pair {(k, l)} exceeds order {file_order}", lineno=lineno
             )
         if (k, l) in coeffs:
             raise CoefficientFileError(
                 f"duplicate exponent pair {(k, l)}", lineno=lineno
             )
         coeffs[(k, l)] = GaussianRational(re, im)
-    return TruncatedSeries(order, coeffs)
+    order = file_order if order is None else min(order, file_order)
+    return TruncatedSeries(order, {(k, l): c for (k, l), c in coeffs.items() if k + l <= order})
 
 
-def read_series(path) -> TruncatedSeries:
+def read_series(path, order: int | None = None) -> TruncatedSeries:
+    """The series of the coefficient file at ``path``, read as by :func:`loads`."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -130,4 +135,4 @@ def read_series(path) -> TruncatedSeries:
             f"not UTF-8 text: byte {data[exc.start]:#04x}",
             lineno=data.count(b"\n", 0, exc.start) + 1,
         ) from None
-    return loads(text)
+    return loads(text, order)

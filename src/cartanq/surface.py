@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import update_wrapper
 
 from .errors import (
     InsufficientOrderError,
@@ -27,11 +28,26 @@ from .gaussrat import GaussianRational
 from .series import TruncatedSeries, log1p_series, reciprocal
 
 
+def per_chart(fn):
+    """fn(chart, *args), derived once per chart and argument tuple: the value
+    is kept in ``chart._cache`` under ``(fn, *args)``, so every formula that
+    needs it shares one object."""
+
+    def derived(chart, *args):
+        key = (fn, *args)
+        if key not in chart._cache:
+            chart._cache[key] = fn(chart, *args)
+        return chart._cache[key]
+
+    return update_wrapper(derived, fn)
+
+
 class SurfaceChart:
     """Metric e^{2phi}|dz|^2 on a chart, stored as the real series w = e^{2phi}.
 
     The constant term of w must be a positive rational (strict pseudoconvexity
-    of the associated CR structure at the chart center).
+    of the associated CR structure at the chart center).  Each quantity
+    derived from w is kept in ``_cache`` by :func:`per_chart`.
     """
 
     def __init__(self, e2phi: TruncatedSeries):
@@ -49,39 +65,30 @@ class SurfaceChart:
     def order(self) -> int:
         return self.e2phi.order
 
-    def _cached(self, key, make):
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = make()
-            self._cache[key] = value
-            return value
-
+    @per_chart
     def w_power(self, k: int) -> TruncatedSeries:
         """e^{2k phi} = w^k for an integer k; exact order N.
 
-        Each power is derived once per chart, as the power next to it toward
-        w^0 times w or 1/w (w^0 itself as w times 1/w), so every formula that
-        needs w^k shares one series."""
-
-        def make():
-            if k == 1:
-                return self.e2phi
-            if k == -1:
-                return reciprocal(self.e2phi)
-            unit = 1 if k > 0 else -1
-            return self.w_power(k - unit) * self.w_power(unit)
-
-        return self._cached(("w", k), make)
+        Each power is the power next to it toward w^0 times w or 1/w (w^0
+        itself as w times 1/w), so every formula that needs w^k shares one
+        series."""
+        if k == 1:
+            return self.e2phi
+        if k == -1:
+            return reciprocal(self.e2phi)
+        unit = 1 if k > 0 else -1
+        return self.w_power(k - unit) * self.w_power(unit)
 
     @property
+    @per_chart
     def b(self) -> TruncatedSeries:
         """b = 2 D phi = D(e^{2phi}) / e^{2phi}; exact order N - 1."""
-        return self._cached("b", lambda: self.e2phi.diff("z") * self.w_power(-1))
+        return self.e2phi.diff("z") * self.w_power(-1)
 
     @property
+    @per_chart
     def bbar(self) -> TruncatedSeries:
-        return self._cached("bbar", lambda: self.b.conjugate())
+        return self.b.conjugate()
 
     def __repr__(self):
         return (
@@ -135,18 +142,15 @@ def phi_from_rigid_defining(F: TruncatedSeries) -> SurfaceChart:
     return SurfaceChart(e2phi)
 
 
+@per_chart
 def gauss_curvature(chart: SurfaceChart) -> TruncatedSeries:
     """Gauss curvature K = -4 e^{-2phi} D Dbar phi, in the even form
     K = -2 (w * D Dbar w - Dw * Dbar w) / w^3; exact order N - 2."""
-
-    def make():
-        w = chart.e2phi
-        dw = w.diff("z")
-        dbw = w.diff("zbar")
-        ddw = dw.diff("zbar")
-        return (w * ddw - dw * dbw) * chart.w_power(-3) * Fraction(-2)
-
-    return chart._cached("K", make)
+    w = chart.e2phi
+    dw = w.diff("z")
+    dbw = w.diff("zbar")
+    ddw = dw.diff("zbar")
+    return (w * ddw - dw * dbw) * chart.w_power(-3) * Fraction(-2)
 
 
 def covariant_derivative(
@@ -183,6 +187,7 @@ def covariant_derivative(
     return S * chart.w_power(-len(word) // 2)
 
 
+@per_chart
 def cartan_r(chart: SurfaceChart) -> TruncatedSeries:
     """Cartan's curvature function r, a third-order operator applied to bbar:
     r = (1/6)(Dbar^2 D bbar - 3 bbar D Dbar bbar + 2 bbar^2 D bbar
@@ -190,34 +195,27 @@ def cartan_r(chart: SurfaceChart) -> TruncatedSeries:
 
     Every term carries z-grade 2 on rotationally symmetric charts, which pins
     the placement of the derivatives in the cubic term."""
-
-    def make():
-        bb = chart.bbar
-        d_bb = bb.diff("z")
-        db_bb = bb.diff("zbar")
-        t1 = d_bb.diff("zbar").diff("zbar")
-        t2 = bb * d_bb.diff("zbar")
-        t3 = bb * bb * d_bb
-        t4 = d_bb * db_bb
-        return (t1 - t2 * 3 + t3 * 2 - t4) * Fraction(1, 6)
-
-    return chart._cached("r", make)
+    bb = chart.bbar
+    d_bb = bb.diff("z")
+    db_bb = bb.diff("zbar")
+    t1 = d_bb.diff("zbar").diff("zbar")
+    t2 = bb * d_bb.diff("zbar")
+    t3 = bb * bb * d_bb
+    t4 = d_bb * db_bb
+    return (t1 - t2 * 3 + t3 * 2 - t4) * Fraction(1, 6)
 
 
+@per_chart
 def cartan_s(chart: SurfaceChart) -> TruncatedSeries:
     """Fiber-stripped weight-3 representative s = D^2 r - 3 (Dr) b + r (2 b^2 - Db).
 
     The divergence form s = e^{4phi} D(e^{-2phi} D(e^{-2phi} r)) is an
     independent check of this formula; see :func:`divergence_form_residual`.
     """
-
-    def make():
-        r = cartan_r(chart)
-        b = chart.b
-        dr = r.diff("z")
-        return dr.diff("z") - dr * b * 3 + r * (b * b * 2 - b.diff("z"))
-
-    return chart._cached("s", make)
+    r = cartan_r(chart)
+    b = chart.b
+    dr = r.diff("z")
+    return dr.diff("z") - dr * b * 3 + r * (b * b * 2 - b.diff("z"))
 
 
 def weighted_words(f: TruncatedSeries, chart: SurfaceChart):
@@ -228,16 +226,12 @@ def weighted_words(f: TruncatedSeries, chart: SurfaceChart):
     return chart.w_power(2) * f2, chart.w_power(3) * f4
 
 
+@per_chart
 def qisgauss_residuals(chart: SurfaceChart):
     """Exact residuals of the two curvature identities
-    12 r + e^{4phi} K_{;zbar zbar} and 12 s + e^{6phi} K_{;zbar zbar z z};
-    derived once per chart."""
-
-    def make():
-        k2, k4 = weighted_words(gauss_curvature(chart), chart)
-        return cartan_r(chart) * 12 + k2, cartan_s(chart) * 12 + k4
-
-    return chart._cached("qisgauss", make)
+    12 r + e^{4phi} K_{;zbar zbar} and 12 s + e^{6phi} K_{;zbar zbar z z}."""
+    k2, k4 = weighted_words(gauss_curvature(chart), chart)
+    return cartan_r(chart) * 12 + k2, cartan_s(chart) * 12 + k4
 
 
 def divergence_form_residual(chart: SurfaceChart) -> TruncatedSeries:

@@ -17,14 +17,8 @@ from .errors import InvalidFiberPointError
 from .gaussrat import GaussianRational
 from .multipoly import MultiPoly
 from .series import TruncatedSeries
-from .surface import (
-    SurfaceChart,
-    cartan_r,
-    cartan_s,
-    gauss_curvature,
-    qisgauss_residuals,
-    weighted_words,
-)
+from .surface import (SurfaceChart, cartan_r, cartan_s, gauss_curvature, per_chart,
+                      qisgauss_residuals, weighted_words)
 
 
 class FiberPoint(namedtuple("FiberPoint", "lam")):
@@ -63,14 +57,15 @@ class PseudohermitianChart(SurfaceChart):
         self._cache = base._cache
 
 
+@per_chart
 def scalar_curvature_R(chart: SurfaceChart) -> TruncatedSeries:
     """Pseudohermitian scalar curvature R = -2 e^{-2phi} D Dbar phi.
 
     Read off the connection form b = 2 D phi as R = -Dbar(b) e^{-2phi}, a
     derivation independent of the Gauss curvature formula, so K = 2R is a
-    genuine cross-check; exact order N - 2.  Derived once per chart.
+    genuine cross-check; exact order N - 2.
     """
-    return chart._cached("R", lambda: -(chart.b.diff("zbar") * chart.w_power(-1)))
+    return -(chart.b.diff("zbar") * chart.w_power(-1))
 
 
 class FiberRepresentative(namedtuple("FiberRepresentative", "series scale")):
@@ -143,6 +138,7 @@ def check_qisgauss_trans(chart: SurfaceChart):
     return (k1 - d2) * half, (k2 - d4) * half
 
 
+@per_chart
 def k_equals_2r_residual(chart: SurfaceChart) -> TruncatedSeries:
-    """K - 2R; identically zero for every chart.  Derived once per chart."""
-    return chart._cached("K-2R", lambda: gauss_curvature(chart) - scalar_curvature_R(chart) * 2)
+    """K - 2R; identically zero for every chart."""
+    return gauss_curvature(chart) - scalar_curvature_R(chart) * 2

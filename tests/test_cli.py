@@ -235,6 +235,25 @@ def test_coeff_file_blank_lines_are_skipped(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def test_coeff_file_is_read_only_to_order(tmp_path, capsys):
+    """A term far above --order is checked, then dropped before the series
+    is built: the report is that of the file without it but for its source.
+    Building the series of the degree-5e9 term first raised OverflowError."""
+    lines = ["order 10000000000", "0 0 1/1 0/1", "5000000000 0 1/1 0/1"]
+    reports = []
+    for name, kept in (("high.coeffs", lines), ("low.coeffs", lines[:-1])):
+        path = tmp_path / name
+        path.write_text("\n".join(kept) + "\n")
+        code, out = run(capsys, "curvature", "--input-kind", "conformal_factor_e2phi",
+                        "--coeff-file", str(path), "--order", "8")
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"].pop("source") == str(path)
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["input"]["order"] == 8
+
+
 # -- error and exit-code contract ---------------------------------------------------
 
 
@@ -351,12 +370,17 @@ _TOLERANCE = "cartanq quadrature-check: error: argument --tolerance:"
      f"{_TOLERANCE} must be finite and positive, got 1e400"),
     (("quadrature-check", "--tolerance", "1e-400"),
      f"{_TOLERANCE} must be finite and positive, got 1e-400"),
+    (("quadrature-check", "--tolerance", "-1e-6"),
+     f"{_TOLERANCE} must be finite and positive, got -1e-6"),
+    (("quadrature-check", "--tolerance", "-1/2"),
+     f"{_TOLERANCE} must be finite and positive, got -1/2"),
     (("curvature", "--input-kind", "line_bundle_metric_h", "--expr", "1+z+z*zb"),
      "error: h must be a real series"),
     (("curvature", "--input-kind", "rigid_defining_F", "--expr", "z*zb + z^4"),
      "error: F must be a real series"),
 ], ids=["lambda_three_parts", "tolerance_word", "tolerance_nan", "tolerance_hex",
-        "tolerance_overflow", "tolerance_underflow", "h_not_real", "F_not_real"])
+        "tolerance_overflow", "tolerance_underflow", "tolerance_negative_exponent",
+        "tolerance_negative_rational", "h_not_real", "F_not_real"])
 def test_rejected_input_names_its_fault(capsys, argv, error):
     code, out, errors = run_rejected(capsys, argv)
     assert (code, out, errors) == (1, "", [error])

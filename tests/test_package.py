@@ -122,6 +122,31 @@ def test_only_frozen_defines_setattr_or_delattr():
     assert offenders == []
 
 
+def test_only_per_chart_stores_into_a_cache():
+    """Each derived quantity is kept under its own function by
+    ``surface.per_chart``; a hand-written store into a ``_cache`` needs a key
+    that another module may also write."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "per_chart"
+            for node in ast.walk(fn)
+        }
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "_cache"
+            and id(node) not in allowed
+        ]
+    assert offenders == []
+
+
 def _name(node):
     """The class name that a raise or a base refers to, or None."""
     if isinstance(node, ast.Call):

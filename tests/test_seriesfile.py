@@ -49,6 +49,30 @@ def test_duplicate_pair():
     assert err.value.lineno == 3
 
 
+def test_read_to_a_lower_order_drops_the_terms_above_it(tmp_path):
+    s = random_series(random.Random(3), 12)
+    path = tmp_path / "s.coeffs"
+    path.write_text(dumps(s), encoding="utf-8")
+    for order in (0, 5, 12, 20):
+        assert read_series(path, order) == s.truncated(min(order, 12))
+        assert loads(dumps(s), order) == s.truncated(min(order, 12))
+
+
+@pytest.mark.parametrize("line, error", [
+    ("9 0 x 0/1", "line 4: Invalid literal for Fraction: 'x'"),
+    ("9 0", "line 4: expected 'k l re im', got '9 0'"),
+    ("-1 9 1/1 0/1", "line 4: negative exponents (-1, 9)"),
+    ("9 9 1/1 0/1", "line 4: degree 18 of pair (9, 9) exceeds order 12"),
+    ("9 0 2/1 0/1", "line 4: duplicate exponent pair (9, 0)"),
+], ids=["bad_rational", "short_line", "negative_exponent", "above_file_order",
+        "duplicate"])
+def test_lines_above_the_read_order_are_still_checked(line, error):
+    text = f"order 12\n0 0 1/1 0/1\n9 0 1/1 0/1\n{line}\n"
+    with pytest.raises(CoefficientFileError) as err:
+        loads(text, 4)
+    assert str(err.value) == error and err.value.lineno == 4
+
+
 def test_malformed_header_and_lines():
     with pytest.raises(CoefficientFileError):
         loads("")

@@ -72,18 +72,36 @@ def test_scalar_curvature_derived_once_per_chart(products):
     assert scalar_curvature_R(pchart(chart)) is R and products == []
 
 
-def test_chart_and_its_pseudohermitian_view_share_results():
+# Every quantity derived once per chart, by name.
+PER_CHART = {
+    "K": gauss_curvature,
+    "b": lambda chart: chart.b,
+    "bbar": lambda chart: chart.bbar,
+    **{f"w^{k}": lambda chart, k=k: chart.w_power(k) for k in range(-3, 4)},
+    "qisgauss": qisgauss_residuals,
+    "r": cartan_r,
+    "s": cartan_s,
+    "R": scalar_curvature_R,
+    "K-2R": k_equals_2r_residual,
+}
+
+
+def test_chart_and_its_pseudohermitian_view_share_results(products):
     """Each function of the layer gives the same result on a SurfaceChart and
     on PseudohermitianChart(chart), whichever is asked first: the two share
-    one cache, so a cached series is the same object."""
+    one cache, so a quantity derived once per chart is the same object from
+    either, and asking for it again forms no series product."""
     lam = FiberPoint(GaussianRational(1, 1))
     for chart_first in (True, False):
         chart = SurfaceChart(random_positive_metric(random.Random(7), 10))
         pc = pchart(chart)
         assert isinstance(pc, SurfaceChart) and pc.e2phi is chart.e2phi
         first, second = (chart, pc) if chart_first else (pc, chart)
-        assert scalar_curvature_R(second) is scalar_curvature_R(first)
-        assert k_equals_2r_residual(second) is k_equals_2r_residual(first)
+        for name, derive in PER_CHART.items():
+            value = derive(first)
+            products.clear()
+            assert derive(second) is value and derive(first) is value, name
+            assert products == [], name
         assert check_qisgauss_trans(second) == check_qisgauss_trans(first)
         q, q11 = q_representative(first, lam), q11_representative(first, lam)
         assert q_representative(second, lam) == q and q.series is cartan_r(second)
