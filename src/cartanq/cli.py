@@ -344,11 +344,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    has_input = args.expr is not None or args.coeff_file is not None
-    if (args.input_kind is not None) != has_input:
-        raise CartanQError("--input-kind and one of --expr/--coeff-file go together")
-    if args.order is not None and not has_input:
-        raise CartanQError("--order needs an input: --input-kind and one of --expr/--coeff-file")
+    chart, _, echo = _build_chart(args, 6)
     control = verify_bracket_identity(perturb=True)
     residuals = {
         "bracket_identity": _bracket_entry(verify_bracket_identity()),
@@ -356,15 +352,9 @@ def _cmd_verify_identities(args) -> int:
             "exact_zero": control.is_zero is False,
             "value": "nonzero as required" if not control.is_zero else "0 (BROKEN)",
         },
+        **_chart_residuals(chart),
+        **_weight3_entries(chart),
     }
-    if has_input:
-        if args.order is None:
-            args.order = DEFAULT_ORDER
-        chart, _, echo = _build_chart(args, 6)
-        residuals.update(_chart_residuals(chart))
-        residuals.update(_weight3_entries(chart))
-    else:
-        echo = {"kind": None, "source": None, "order": None}
     return _report(args, echo, residuals=residuals)
 
 
@@ -426,15 +416,12 @@ def _cmd_quadrature(args) -> int:
 # would ignore is a usage error instead of a silent no-op.
 
 
-def _add_surface_input(sub, required=True):
-    sub.add_argument("--input-kind", choices=SURFACE_KINDS, required=required)
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_surface_input(sub):
+    sub.add_argument("--input-kind", choices=SURFACE_KINDS, required=True)
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="expression in z, zb")
     group.add_argument("--coeff-file", help="path to a coefficient file")
-    # with an optional input --order defaults to None, so that it can be
-    # refused without one
-    sub.add_argument("--order", type=_int_in(hi=MAX_ORDER),
-                     default=DEFAULT_ORDER if required else None,
+    sub.add_argument("--order", type=_int_in(hi=MAX_ORDER), default=DEFAULT_ORDER,
                      help=f"truncation order, at most {MAX_ORDER} "
                      f"(default {DEFAULT_ORDER})")
 
@@ -513,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify-identities",
                           help="bracket identity and per-input identity residuals")
-    _add_surface_input(sub, required=False)
+    _add_surface_input(sub)
     sub.set_defaults(func=_cmd_verify_identities)
 
     sub = subs.add_parser("quadrature-check",

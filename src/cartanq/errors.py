@@ -80,8 +80,9 @@ class CoefficientFileError(CartanQError):
 
 
 class QuadratureEvaluationError(CartanQError):
-    """Non-finite integrand sample, which carries the offending node, or a
-    closed-form coefficient outside the float range."""
+    """Non-finite integrand sample, which carries the offending node, a
+    closed-form coefficient outside the float range, or a positive integral
+    that rounds to 0.0."""
 
     def __init__(self, message, node=None):
         super().__init__(message)

@@ -1,10 +1,10 @@
 """Floating-point verification layer for the compact-manifold arguments.
 
 The exact closed forms G = e^{c psi(u)} p(u) / (1 - u)^m of ``radial`` are
-evaluated here.  Each evaluated G is compiled once to a vectorized numpy
-function of u from Python source that this module writes itself: the Horner
-chains of p and psi in u, with every coefficient the float literal nearest
-its exact value.  sympy's lambdify only compiles that text, so no sympy
+evaluated here.  Each evaluated G is compiled once per metric to a vectorized
+numpy function of u from Python source that this module writes itself: the
+Horner chains of p and psi in u, with every coefficient the float literal
+nearest its exact value.  sympy's lambdify only compiles that text, so no sympy
 expression is built or printed.  The code names only exp, so it is compiled
 against exp alone, not against a copy of numpy's namespace.
 
@@ -61,8 +61,7 @@ def compile_radial(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
     exp(c psi) when c != 0 and times (1 - u)^-m when m != 0.  The source text
     is written here from the integer numerators of p and psi and names only
     exp, so lambdify compiles it against exp alone.  A coefficient beyond the
-    float range raises ``QuadratureEvaluationError``.  ``RadialFunction.of_u``
-    caches the result on f."""
+    float range raises ``QuadratureEvaluationError``."""
     factors = []
     if f.c:
         c = _float_literal(f.c.numerator, f.c.denominator)
@@ -71,6 +70,12 @@ def compile_radial(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
         factors.append(f"(1 - u)**({-f.m})")
     text = "*".join([*factors, f"({_horner_source(f._num, f._den)})"])
     return sp.lambdify("u", text, modules=[{"exp": np.exp}], docstring_limit=0)
+
+
+@per_chart
+def _of_u(metric: CompactMetric, f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """f's G compiled once per metric and closed-form value."""
+    return compile_radial(f)
 
 
 class QuadratureScheme(namedtuple("QuadratureScheme", "radial_panels rel_tolerance")):
@@ -127,7 +132,7 @@ def _integral_once(integrand, metric: CompactMetric, panels: int) -> float:
             raise QuadratureEvaluationError(f"{what} at node z = {node}", node=node)
 
     with np.errstate(all="ignore"):
-        w_u = np.asarray(metric.w.of_u(u), dtype=float)
+        w_u = np.asarray(_of_u(metric, metric.w)(u), dtype=float)
         require(np.isfinite(w_u) & (w_u > 0.0), "e^{2phi} is not finite and positive")
         vals = np.broadcast_to(np.asarray(integrand(u), dtype=float), u.shape)
         require(np.isfinite(vals), "non-finite integrand sample")
@@ -162,10 +167,7 @@ class CalabiCheck(namedtuple("CalabiCheck", "lhs rhs relative_residual")):
     __slots__ = ()
 
     def passes(self, rel_tolerance: float) -> bool:
-        return (
-            self.relative_residual < rel_tolerance
-            and self.lhs >= -rel_tolerance
-        )
+        return self.relative_residual < rel_tolerance
 
 
 def calabi_identity_check(
@@ -201,10 +203,17 @@ def _calabi_integrals(rf, fzz, pf, metric: CompactMetric, scheme: QuadratureSche
     grade-0 functions multiplied in floats.  f_{;zbar zbar z z} dA is a
     divergence on the closed sphere, so its integral vanishes and f(0) does
     not change the rhs; subtracting it keeps the O(1) part of f, which would
-    cancel only to rounding, out of the sum."""
+    cancel only to rounding, out of the sum.  A nonzero f_{;zbar zbar} makes
+    both sides positive, so a side at 0.0 is a value that floats lost."""
     panels = 2 * scheme.radial_panels
-    lhs = _integral_once(lambda u: fzz.of_u(u) ** 2 * (u / (1.0 - u)) ** fzz.k, metric, panels)
-    rhs = _integral_once(lambda u: pf.of_u(u) * (rf.of_u(u) - rf.of_u(0.0)), metric, panels)
+    f2, f4, f = (_of_u(metric, g) for g in (fzz, pf, rf))
+    lhs = _integral_once(lambda u: f2(u) ** 2 * (u / (1.0 - u)) ** fzz.k, metric, panels)
+    rhs = _integral_once(lambda u: f4(u) * (f(u) - f(0.0)), metric, panels)
+    if 0.0 in (lhs, rhs) and fzz.p:
+        raise QuadratureEvaluationError(
+            f"a side of the Calabi identity rounds to 0.0 in floats (lhs {lhs!r}, "
+            f"rhs {rhs!r}) although f_{{;zbar zbar}} is not zero"
+        )
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return CalabiCheck(
         lhs=lhs,

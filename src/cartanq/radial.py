@@ -26,7 +26,7 @@ closed forms and integrates them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
@@ -233,13 +233,6 @@ class RadialFunction(Frozen):
         coeffs = [series._re[_size(j)] for j in range(series._rows)]
         return _diagonal(order, self.k, series._den, coeffs)
 
-    @cached_property
-    def of_u(self) -> Callable:
-        """G compiled once to a vectorized numpy function of u by
-        ``quadrature.compile_radial``; it loads numpy and sympy."""
-        from .quadrature import compile_radial
-        return compile_radial(self)
-
 
 class CompactMetric:
     """Rotationally invariant metric e^{2phi} on the sphere.
@@ -247,7 +240,8 @@ class CompactMetric:
     ``psi_coeffs`` are the ascending rational coefficients of the profile
     polynomial psi(u).  psi = 0 is the Fubini-Study metric of curvature 4.
     K, K_{;zbar zbar} and K_{;zbar zbar z z} are derived once per metric;
-    ``quadrature._calabi_k`` keeps the Calabi check on K in ``_cache``.
+    ``quadrature`` keeps its compiled evaluators and the Calabi check on K in
+    ``_cache``.
     """
 
     def __init__(self, psi_coeffs: Sequence = ()):

@@ -114,14 +114,10 @@ def test_calibrate_c(capsys):
 
 
 def test_verify_identities_without_input(capsys):
-    code, out = run(capsys, "verify-identities")
-    assert code == 0
-    report = json.loads(out)
-    # nothing ran at a truncation order
-    assert report["input"] == {"kind": None, "source": None, "order": None}
-    residuals = report["residuals"]
-    assert residuals["bracket_identity"]["exact_zero"] is True
-    assert residuals["bracket_negative_control_nonzero"]["exact_zero"] is True
+    """verify-identities reads a surface input as the series subcommands do."""
+    code, out, errors = run_rejected(capsys, ("verify-identities",))
+    assert (code, out, len(errors)) == (1, "", 1)
+    assert "--input-kind" in errors[0]
 
 
 def test_verify_identities_with_input(capsys):
@@ -130,7 +126,11 @@ def test_verify_identities_with_input(capsys):
         "--expr", F44, "--order", "12",
     )
     assert code == 0
-    assert "qisgauss_identity_1" in json.loads(out)["residuals"]
+    residuals = json.loads(out)["residuals"]
+    assert list(residuals)[:3] == [
+        "bracket_identity", "bracket_negative_control_nonzero", "qisgauss_identity_1"]
+    assert residuals["bracket_identity"]["exact_zero"] is True
+    assert residuals["bracket_negative_control_nonzero"]["exact_zero"] is True
 
 
 def test_verify_identities_input_defaults_to_order_16(capsys):
@@ -421,7 +421,8 @@ VALID = {
     "sphericity": ("sphericity", "--input-kind", "conformal_factor_e2phi",
                    "--expr", "1+z*zb", "--order", "8"),
     "calibrate-c": ("calibrate-c",),
-    "verify-identities": ("verify-identities",),
+    "verify-identities": ("verify-identities", "--input-kind", "conformal_factor_e2phi",
+                          "--expr", "1+z*zb", "--order", "8"),
     "quadrature-check": ("quadrature-check",),
 }
 # The flags that only restated the one JSON report, with the subcommands that
@@ -445,7 +446,7 @@ REMOVED = [((*VALID[command], flag, value),
         ("quadrature-check", "--angular-nodes", "128"),
         ("quadrature-check", "--input-kind", "compact_profile_psi"),
         ("calibrate-c", "--display-order", "3"),
-        ("verify-identities", "--display-order", "3"),
+        (*VALID["verify-identities"], "--display-order", "3"),
         ("verify-identities", "--input-kind", "rigid_defining_F"),
         ("curvature", "--input-kind", "compact_profile_psi", "--expr", "1+z*zb"),
         ("quadrature-check", "--expr", "exp(u)-1"),
@@ -603,28 +604,38 @@ def test_profile_outside_the_float_range_exits_1(psi):
 
 
 @pytest.mark.parametrize(
-    "expr, code",
-    [(f"u/{10**1500}", 0), (f"u/{10**800}", 0), (f"u*{10**400}", 1)],
+    "expr, error",
+    [(f"u/{10**1500}", "error: a side of the Calabi identity rounds to 0.0 in floats "
+      "(lhs 0.0, rhs 0.0) although f_{;zbar zbar} is not zero"),
+     (f"u/{10**800}", "error: a side of the Calabi identity rounds to 0.0 in floats "
+      "(lhs 0.0, rhs 0.0) although f_{;zbar zbar} is not zero"),
+     (f"u*{10**400}", "error: a coefficient of a closed form is outside the float range "
+      "(magnitude above 1.7976931348623157e+308)")],
     ids=["u_over_10e1500", "u_over_10e800", "u_times_10e400"],
 )
-def test_huge_coefficients_end_without_a_traceback(expr, code):
+def test_huge_coefficients_end_without_a_traceback(expr, error):
     """A derived coefficient with more digits than CPython prints, or one
-    below the float range, becomes its nearest float, 0.0; one above the
-    float range ends in a single `error:` line."""
+    below the float range, becomes its nearest float, 0.0, and the Calabi
+    sides that it leaves at 0.0 end in a single `error:` line, as a
+    coefficient above the float range does."""
     done = _run_cli(["quadrature-check", f"--expr={expr}"])
-    assert "Traceback" not in done.stderr
-    assert done.returncode == code, done.stderr
-    if code:
-        assert done.stdout == ""
-        assert done.stderr.splitlines() == [
-            "error: a coefficient of a closed form is outside the float range "
-            "(magnitude above 1.7976931348623157e+308)"
-        ]
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [error]
+
+
+@pytest.mark.parametrize("n, code", [(16, 2), (17, 1), (100, 1)])
+def test_calabi_side_that_rounds_to_zero_exits_1(capsys, n, code):
+    """For psi = u/10^n, K - K(0) = O(10^-n) rounds to 0.0 from n = 17 on, and
+    so does the rhs of the Calabi check on K, although K_{;zbar zbar} is not
+    zero: that is one `error:` line, not a failed identity.  Down to n = 16
+    the rhs is a float, and its rounding is the exit 2 of a failed check."""
+    code_seen, out, errors = run_rejected(capsys, ("quadrature-check", f"--expr=u/10^{n}"))
+    assert code_seen == code
+    if code == 1:
+        assert (out, len(errors)) == ("", 1)
+        assert "rounds to 0.0 in floats" in errors[0]
     else:
-        assert done.stderr == ""
-        assert json.loads(done.stdout)["verdicts"] == {
-            "closed_form_spherical": False, "symbolic_spherical": False,
-        }
+        assert json.loads(out)["residuals"]["calabi_identity_K"]["within_tolerance"] is False
 
 
 def test_quadrature_report_does_not_depend_on_hash_order():

@@ -93,6 +93,39 @@ def test_only_quadrature_imports_numpy_or_sympy():
     assert offenders == []
 
 
+def _relative_imports(tree):
+    """The package modules that a module imports, at any level of its body;
+    ``from . import name`` imports ``__init__``, and ``name`` if it is a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield "__init__"
+                yield from (alias.name for alias in node.names)
+
+
+def test_package_imports_have_no_cycle():
+    """A cycle, even through an import inside a function, ties two layers
+    together: the exact layer must load without the float layer above it."""
+    graph = {
+        path.stem: set(_relative_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    cycles = []
+
+    def visit(module, path):
+        for target in sorted(graph.get(module, ())):
+            if target in path:
+                cycles.append(" -> ".join([*path[path.index(target):], target]))
+            else:
+                visit(target, [*path, target])
+
+    for module in graph:
+        visit(module, [module])
+    assert cycles == []
+
+
 def test_no_assert_statements_in_package():
     offenders = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):

@@ -162,7 +162,7 @@ def test_rigidity_verdicts_are_exact():
 
 
 def test_doubling_within_error_estimate():
-    integrands = [ones, FS.gauss_curvature.of_u]
+    integrands = [ones, quadrature.compile_radial(FS.gauss_curvature)]
     doubled = QuadratureScheme(radial_panels=2 * SCHEME.radial_panels)
     for metric in (FS, BUMP):
         for f in integrands:
@@ -292,11 +292,14 @@ def test_exact_bridge_to_the_series_pipeline(name):
 
 
 def test_radial_function_is_immutable():
-    """The compiled evaluator is cached although the class refuses setattr;
-    the refusals themselves are pinned in test_series."""
+    """The class refuses setattr, pinned in test_series, so its compiled
+    evaluator is kept per metric: equal closed forms share one."""
     f = BUMP.radial_polynomial([1, 2])
-    assert f.of_u is f.of_u
-    assert f == BUMP.radial_polynomial([1, 2])
+    g = BUMP.radial_polynomial([1, 2])
+    assert f == g and f is not g
+    assert quadrature._of_u(BUMP, f) is quadrature._of_u(BUMP, g)
+    other = CompactMetric(BUMP.psi_coeffs)
+    assert quadrature._of_u(other, f) is not quadrature._of_u(BUMP, f)
 
 
 def test_closed_form_curvature_of_fubini_study():
@@ -496,10 +499,11 @@ def test_compiled_evaluators_match_direct_numpy(name):
     u, _ = quadrature._radial_rule(2 * SCHEME.radial_panels)
     assert u.size == 32 * SCHEME.radial_panels
     for rf in compiled:
-        value = np.broadcast_to(rf.of_u(u), u.shape)
+        of_u = quadrature.compile_radial(rf)
+        value = np.broadcast_to(of_u(u), u.shape)
         np.testing.assert_allclose(value, _direct(rf, u), rtol=1e-13, atol=0)
         # compiled against exp alone, so the code may read no other global
-        assert set(rf.of_u.__code__.co_names) <= {"exp"}
+        assert set(of_u.__code__.co_names) <= {"exp"}
 
 
 EVALUATOR_EDGE_CASES = {
@@ -525,9 +529,10 @@ def test_evaluator_edge_cases_have_their_forms():
 def test_evaluator_edge_cases_match_direct_numpy(name):
     rf = EVALUATOR_EDGE_CASES[name]
     u, _ = quadrature._radial_rule(2 * SCHEME.radial_panels)
-    value = np.broadcast_to(rf.of_u(u), u.shape)
+    of_u = quadrature.compile_radial(rf)
+    value = np.broadcast_to(of_u(u), u.shape)
     np.testing.assert_allclose(value, _direct(rf, u), rtol=1e-13, atol=0)
-    assert set(rf.of_u.__code__.co_names) <= {"exp"}
+    assert set(of_u.__code__.co_names) <= {"exp"}
     if name == "zero":
         assert np.all(value == 0.0)  # exact, and never nan
 
@@ -550,9 +555,10 @@ def test_evaluator_text_matches_direct_numpy(k, c, m, p, psi):
     one, agrees with numpy on the fine-pass nodes."""
     rf = RadialFunction(k, c, m, p, psi)
     u, _ = quadrature._radial_rule(2 * SCHEME.radial_panels)
-    value = np.broadcast_to(rf.of_u(u), u.shape)
+    of_u = quadrature.compile_radial(rf)
+    value = np.broadcast_to(of_u(u), u.shape)
     np.testing.assert_allclose(value, _direct(rf, u), rtol=1e-13, atol=0)
-    assert set(rf.of_u.__code__.co_names) <= {"exp"}
+    assert set(of_u.__code__.co_names) <= {"exp"}
 
 
 @pytest.mark.parametrize("name", EVALUATOR_CASES)
